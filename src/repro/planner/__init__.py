@@ -20,8 +20,8 @@ from .cost import (
 )
 from .ir import IRNode, PassTraceEntry
 from .kernels import (
-    KernelUnsupported, compile_vectorized, compile_vectorized_cached, contract,
-    gather,
+    ContractKernel, KernelUnsupported, compile_vectorized,
+    compile_vectorized_cached, contract, gather, specialize_contract,
 )
 from .passes import (
     PassManager, PlanState, cse_enabled, default_passes, fusion_enabled,
@@ -34,6 +34,7 @@ from .planner import PlannerOptions, plan_query, plan_state
 
 __all__ = [
     "CompInfo",
+    "ContractKernel",
     "IRNode",
     "PassManager",
     "PassTraceEntry",
@@ -74,4 +75,5 @@ __all__ = [
     "generate_fused_kernel",
     "plan_query",
     "plan_state",
+    "specialize_contract",
 ]

@@ -79,7 +79,7 @@ TILE_RECORD_OVERHEAD = 64
 COORD_RECORD_BYTES = 48
 #: Throughput the model assumes for the measured (local NumPy) tile
 #: contraction, in flops per second of *measured* compute.  The engine's
-#: einsum-based ``contract`` runs below raw BLAS gemm speed; the exact
+#: tile-sized ``np.matmul`` calls run below raw BLAS gemm speed; the exact
 #: value matters little for plan choice because every dense candidate
 #: does the same flops — only the parallelism divisor differs.
 LOCAL_CONTRACT_FLOPS = 2.0e10

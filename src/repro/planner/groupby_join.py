@@ -43,6 +43,7 @@ from .ir import (
     IRNode, OP_ASSEMBLE, OP_BROADCAST, OP_GROUP_BY_JOIN, OP_REPLICATE,
     scan_gen_node,
 )
+from .kernels import ContractKernel, KernelUnsupported, specialize_contract
 from .plan import RULE_GROUP_BY_JOIN
 from .tiling import (
     ResolvedGen, TiledSetup, _drop_if_dense, _out_classes, assemble_sig,
@@ -69,7 +70,7 @@ class GbjMatch:
     left_join_axis: int
     right_col_axis: int
     right_join_axis: int
-    #: Einsum-style axis names for :func:`~repro.planner.kernels.contract`.
+    #: Einsum-style axis names of the contraction.
     left_axes: tuple[str, ...]
     right_axes: tuple[str, ...]
     out_axes: tuple[str, str]
@@ -85,6 +86,8 @@ class GbjMatch:
     term: object
     mon: Monoid
     value_vars: tuple[str, str]
+    #: The tile contraction, specialized once for this plan.
+    kernel: ContractKernel
     #: Logical dimensions (elements, not tiles).
     row_dim: int = 0
     col_dim: int = 0
@@ -171,6 +174,13 @@ def match_group_by_join(setup: TiledSetup) -> Optional[GbjMatch]:
     left_axes = tuple(class_names[c] for c in left_gen.axis_classes)
     right_axes = tuple(class_names[c] for c in right_gen.axis_classes)
     out_axes = (class_names[row_class], class_names[col_class])
+    try:
+        kernel = specialize_contract(
+            left_axes, right_axes, out_axes, slot.expr, mon,
+            (value_vars[0], value_vars[1]),
+        )
+    except KernelUnsupported:
+        return None
 
     return GbjMatch(
         left_gen=left_gen,
@@ -191,6 +201,7 @@ def match_group_by_join(setup: TiledSetup) -> Optional[GbjMatch]:
         term=slot.expr,
         mon=mon,
         value_vars=(value_vars[0], value_vars[1]),
+        kernel=kernel,
         row_dim=setup.class_dim[row_class],
         col_dim=setup.class_dim[col_class],
         join_dim=setup.class_dim[join_class],
@@ -332,8 +343,10 @@ def emit_broadcast(
             "every task; partial tiles merged with reduceByKey"
         ),
         pseudocode=(
-            "small = sc.broadcast(S.tiles.collect().groupBy(join coord))\n"
-            "Tiled(n, m, L.tiles.flatMap { t => small(k(t)).map(s => (key, contract(s, t))) }\n"
+            "small = sc.broadcast(S.tiles.collect().groupBy(join coord)"
+            ".mapValues(stack tiles per shape))\n"
+            "Tiled(n, m, L.tiles.flatMap { t => small(k(t)).flatMap(s =>"
+            " keys(s).zip(matmul(s, t))) }\n"
             "            .reduceByKey(⊗′))"
         ),
         details={"broadcast_side": side, "monoid": match.mon.name},

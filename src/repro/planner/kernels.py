@@ -15,14 +15,23 @@ block" is a vectorized NumPy expression, so this module provides:
   (identity for aligned element-wise ops, a transpose for ``((j,i),v)``
   heads, a diagonal gather for ``i == j``, ...).
 
-* :func:`contract` — the Section 5.3/5.4 per-tile-pair aggregation.  The
-  multiply-add case dispatches to ``einsum`` (BLAS-backed: this *is* the
-  optimal tile kernel the paper gets from its generic rules); any other
-  monoid/term pair uses a broadcast-and-reduce with the monoid's ufunc.
+* :func:`specialize_contract` — the Section 5.3/5.4 per-tile-pair
+  aggregation, decided once per plan rather than once per tile pair.
+  The multiply-add case becomes ``np.matmul`` (BLAS-backed: this *is*
+  the optimal tile kernel the paper gets from its generic rules); any
+  other monoid/term pair uses a broadcast-and-reduce with the monoid's
+  ufunc.  The returned :class:`ContractKernel` also has a *batch* form:
+  the broadcast group-by-join stacks every contraction one tile takes
+  part in (:func:`stack_by_shape`) into a 3-D ``np.matmul``, whose
+  slices are byte-identical to the per-pair products.  Concatenating
+  the tiles into one 2-D panel GEMM would be a single BLAS call too,
+  but it sums in a different order, so results would no longer match
+  the per-pair kernel bit for bit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -30,7 +39,7 @@ import numpy as np
 from ..comprehension.ast import (
     BinOp, Call, Expr, IfExpr, Lit, TupleExpr, UnOp, Var,
 )
-from ..comprehension.monoids import Monoid, monoid
+from ..comprehension.monoids import Monoid
 
 
 class KernelUnsupported(Exception):
@@ -261,107 +270,245 @@ def gather(
 # Contractions (Sections 5.3 / 5.4)
 # ----------------------------------------------------------------------
 
+#: A specialized contraction over two operands (tiles, or tile stacks).
+ContractFn = Callable[[Any, Any], Any]
 
-def contract(
-    left: np.ndarray,
-    right: np.ndarray,
+
+@dataclass(frozen=True)
+class ContractKernel:
+    """One tile contraction ``⊕/h(a, b)``, specialized at plan time.
+
+    ``pair(left, right)`` contracts one tile pair.  ``batch(lefts,
+    rights)`` contracts one tile with many: each operand carries a
+    leading batch axis, one of them of length 1, and its tile is paired
+    with every tile of the other.  Item ``i`` of the batch result is
+    byte-identical to ``pair`` on the ``i``-th pair.
+
+    ``kind`` says how the work is done: ``"matmul"`` runs a batch as one
+    stacked 3-D ``np.matmul``; ``"dot"``, ``"einsum"`` and ``"ufunc"``
+    (broadcast the tiles, evaluate ``h``, reduce with the monoid's
+    ufunc) run ``pair`` once per pair of the batch.
+    """
+
+    kind: str
+    pair: ContractFn
+    batch: ContractFn
+
+
+def specialize_contract(
     left_axes: tuple[str, ...],
     right_axes: tuple[str, ...],
     out_axes: tuple[str, ...],
     term: Optional[Expr],
     mon: Monoid,
     value_vars: tuple[str, str],
-) -> np.ndarray:
-    """Aggregate ``⊕/h(a, b)`` over the shared (contracted) index classes.
+) -> ContractKernel:
+    """Choose the kernel that aggregates ``⊕/h(a, b)`` over shared classes.
 
     ``left_axes``/``right_axes``/``out_axes`` name each tensor dimension by
     its index *class*; classes present in the inputs but not the output
     are contracted.  ``term`` is ``h`` (``None`` means plain ``a*b``).
 
-    The canonical multiply-add case lowers to ``einsum`` — for the matrix
-    multiplication comprehension this is exactly the per-tile GEMM the
-    paper's translation produces.  Other (monoid, term) pairs broadcast
-    both tiles over the union of classes, evaluate ``h`` vectorized, and
-    reduce the contracted axes with the monoid's ufunc.
+    The decision is made once per plan.  The canonical multiply-add case
+    becomes BLAS: for the matrix multiplication comprehension this is
+    exactly the per-tile GEMM the paper's translation produces.
+    Multiply-add shapes BLAS does not cover use ``einsum``.  Other
+    (monoid, term) pairs broadcast both tiles over the union of classes,
+    evaluate ``h`` vectorized, and reduce the contracted axes with the
+    monoid's ufunc.  Raises :class:`KernelUnsupported` when ``h`` has no
+    vectorized form or the monoid has no ufunc.
     """
     if _is_multiply_add(term, mon, value_vars):
-        fast = _blas_contract(left, right, left_axes, right_axes, out_axes)
-        if fast is not None:
-            return fast
+        kernel = _blas_kernel(left_axes, right_axes, out_axes)
+        if kernel is not None:
+            return kernel
         subscripts = _einsum_subscripts(left_axes, right_axes, out_axes)
-        return np.einsum(subscripts, left, right)
 
-    all_axes = list(out_axes) + [
-        c for c in dict.fromkeys(list(left_axes) + list(right_axes))
-        if c not in out_axes
-    ]
-    left_b = _broadcast_to_axes(left, left_axes, all_axes)
-    right_b = _broadcast_to_axes(right, right_axes, all_axes)
-    if term is None:
-        values = left_b * right_b
-    else:
-        kernel = compile_vectorized_cached(term)
-        values = kernel({value_vars[0]: left_b, value_vars[1]: right_b})
-    if mon.np_combine is None:
-        raise KernelUnsupported(f"monoid {mon.name!r} has no ufunc")
-    reduce_axes = tuple(range(len(out_axes), len(all_axes)))
-    if not reduce_axes:
-        return np.asarray(values)
-    result = values
-    for axis in sorted(reduce_axes, reverse=True):
-        result = mon.np_combine.reduce(result, axis=axis)
-    return result
+        def einsum_pair(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+            return np.einsum(subscripts, left, right)
+
+        return ContractKernel("einsum", einsum_pair, _looped(einsum_pair))
+    return _ufunc_kernel(left_axes, right_axes, out_axes, term, mon, value_vars)
 
 
-def _blas_contract(
-    left: np.ndarray,
-    right: np.ndarray,
+def contract(kernel: ContractFn, left: Any, right: Any) -> Any:
+    """Run a :class:`ContractKernel`'s ``pair`` or ``batch`` on operands.
+
+    Every tile contraction the lowered programs run goes through this
+    one call, so a profiler or tracer that wraps it sees each dispatch
+    (``perfbench/tracer.py`` wraps it where :mod:`repro.planner.lower`
+    and :mod:`repro.planner.tiling` import it).
+    """
+    return kernel(left, right)
+
+
+def _mT(x: np.ndarray) -> np.ndarray:
+    """Transpose the last two axes (a tile, or every tile of a stack)."""
+    return np.swapaxes(x, -1, -2)
+
+
+def _blas_kernel(
     left_axes: tuple[str, ...],
     right_axes: tuple[str, ...],
     out_axes: tuple[str, ...],
-) -> Optional[np.ndarray]:
-    """Dispatch common multiply-add contractions straight to BLAS.
+) -> Optional[ContractKernel]:
+    """Specialize common multiply-add contractions to ``np.matmul``.
 
     ``einsum`` without a precomputed path runs a C loop an order of
     magnitude slower than ``dot`` at tile sizes, so the matrix-matrix and
-    matrix-vector orientations go to ``@`` with transposes.  Returns
-    ``None`` for shapes this does not cover.
+    matrix-vector orientations go to ``matmul`` with transposes.  A
+    batch is one ``np.matmul`` over a 3-D stack: it makes the same BLAS
+    call for each stacked pair as for the pair alone, so every slice is
+    byte-identical to the pair's product.  Returns ``None`` for shapes
+    this does not cover.
     """
+    out_axes = tuple(out_axes)
     # Matrix x matrix with one contracted axis.
     if len(left_axes) == 2 and len(right_axes) == 2 and len(out_axes) == 2:
         shared = set(left_axes) & set(right_axes)
         if len(shared) != 1:
             return None
         k = shared.pop()
-        a = left if left_axes[1] == k else left.T
-        a_out = left_axes[0] if left_axes[1] == k else left_axes[1]
-        b = right if right_axes[0] == k else right.T
-        b_out = right_axes[1] if right_axes[0] == k else right_axes[0]
-        if (a_out, b_out) == tuple(out_axes):
-            return a @ b
-        if (b_out, a_out) == tuple(out_axes):
-            return (a @ b).T
-        return None
+        left_t = left_axes[1] != k
+        a_out = left_axes[1] if left_t else left_axes[0]
+        right_t = right_axes[0] != k
+        b_out = right_axes[0] if right_t else right_axes[1]
+        if (a_out, b_out) == out_axes:
+            out_t = False
+        elif (b_out, a_out) == out_axes:
+            out_t = True
+        else:
+            return None
+
+        def matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+            product = np.matmul(
+                _mT(left) if left_t else left, _mT(right) if right_t else right
+            )
+            return _mT(product) if out_t else product
+
+        return ContractKernel("matmul", matmul, matmul)
     # Matrix x vector.
     if len(left_axes) == 2 and len(right_axes) == 1 and len(out_axes) == 1:
         (k,) = right_axes
         if k not in left_axes:
             return None
-        a = left if left_axes[1] == k else left.T
-        a_out = left_axes[0] if left_axes[1] == k else left_axes[1]
-        return a @ right if (a_out,) == tuple(out_axes) else None
+        left_t = left_axes[1] != k
+        a_out = left_axes[1] if left_t else left_axes[0]
+        if (a_out,) != out_axes:
+            return None
+
+        def matvec(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+            return (_mT(left) if left_t else left) @ right
+
+        def matvec_batch(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+            a = _mT(lefts) if left_t else lefts
+            return np.matmul(a, rights[..., None])[..., 0]
+
+        return ContractKernel("matmul", matvec, matvec_batch)
     if len(left_axes) == 1 and len(right_axes) == 2 and len(out_axes) == 1:
         (k,) = left_axes
         if k not in right_axes:
             return None
-        b = right if right_axes[0] == k else right.T
-        b_out = right_axes[1] if right_axes[0] == k else right_axes[0]
-        return left @ b if (b_out,) == tuple(out_axes) else None
+        right_t = right_axes[0] != k
+        b_out = right_axes[0] if right_t else right_axes[1]
+        if (b_out,) != out_axes:
+            return None
+
+        def vecmat(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+            return left @ (_mT(right) if right_t else right)
+
+        def vecmat_batch(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+            b = _mT(rights) if right_t else rights
+            return np.matmul(lefts[..., None, :], b)[..., 0, :]
+
+        return ContractKernel("matmul", vecmat, vecmat_batch)
     # Vector x vector inner product.
     if len(left_axes) == 1 and len(right_axes) == 1 and len(out_axes) == 0:
-        if left_axes == right_axes:
+        if left_axes != right_axes:
+            return None
+
+        def dot(left: np.ndarray, right: np.ndarray) -> np.ndarray:
             return np.asarray(left @ right)
+
+        return ContractKernel("dot", dot, _looped(dot))
     return None
+
+
+def _ufunc_kernel(
+    left_axes: tuple[str, ...],
+    right_axes: tuple[str, ...],
+    out_axes: tuple[str, ...],
+    term: Optional[Expr],
+    mon: Monoid,
+    value_vars: tuple[str, str],
+) -> ContractKernel:
+    """Broadcast-and-reduce for any (monoid, term) pair with a ufunc."""
+    combine = mon.np_combine
+    if combine is None:
+        raise KernelUnsupported(f"monoid {mon.name!r} has no ufunc")
+    all_axes = list(out_axes) + [
+        c for c in dict.fromkeys(list(left_axes) + list(right_axes))
+        if c not in out_axes
+    ]
+    left_view = _axis_view(left_axes, all_axes)
+    right_view = _axis_view(right_axes, all_axes)
+    h = None if term is None else compile_vectorized_cached(term)
+    left_var, right_var = value_vars
+    # Contracted axes, innermost first.
+    reduce_axes = tuple(range(len(all_axes) - 1, len(out_axes) - 1, -1))
+
+    def reduce_pair(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        left_b, right_b = left_view(left), right_view(right)
+        if h is None:
+            values = left_b * right_b
+        else:
+            values = h({left_var: left_b, right_var: right_b})
+        if not reduce_axes:
+            return np.asarray(values)
+        for axis in reduce_axes:
+            values = combine.reduce(values, axis=axis)
+        return values
+
+    return ContractKernel("ufunc", reduce_pair, _looped(reduce_pair))
+
+
+def _looped(pair: ContractFn) -> ContractFn:
+    """A batch form of ``pair`` that calls it once per pair."""
+
+    def batch(lefts: Sequence[np.ndarray], rights: Sequence[np.ndarray]) -> list:
+        if len(lefts) == 1:
+            return [pair(lefts[0], right) for right in rights]
+        return [pair(left, rights[0]) for left in lefts]
+
+    return batch
+
+
+def stack_by_shape(
+    tiles: Sequence[np.ndarray],
+) -> tuple[list[np.ndarray], list[tuple[int, int]]]:
+    """Stack ``tiles`` into one array per distinct tile shape.
+
+    Each stack has a leading batch axis, so ragged edge tiles form
+    stacks of their own; a stack of one tile is a view, not a copy.
+    Returns the stacks and, for each tile in order, its ``(stack,
+    slot)`` position.
+    """
+    stack_of: dict[tuple, int] = {}
+    members: list[list[np.ndarray]] = []
+    where: list[tuple[int, int]] = []
+    for tile in tiles:
+        index = stack_of.get(tile.shape)
+        if index is None:
+            index = stack_of[tile.shape] = len(members)
+            members.append([])
+        group = members[index]
+        where.append((index, len(group)))
+        group.append(tile)
+    stacks = [
+        np.array(group) if len(group) > 1 else group[0][None]
+        for group in members
+    ]
+    return stacks, where
 
 
 def _is_multiply_add(
@@ -398,40 +545,33 @@ def _einsum_subscripts(
     return f"{lhs},{rhs}->{out}"
 
 
-def _broadcast_to_axes(
-    tile: np.ndarray, axes: tuple[str, ...], all_axes: list[str]
-) -> np.ndarray:
-    """View ``tile`` with singleton dimensions inserted for absent classes."""
-    shape = []
-    src_order = []
-    for cls in all_axes:
-        if cls in axes:
-            src_order.append(axes.index(cls))
-    permuted = np.transpose(tile, src_order) if src_order != list(range(tile.ndim)) else tile
-    position = 0
-    for cls in all_axes:
-        if cls in axes:
-            shape.append(permuted.shape[position])
-            position += 1
-        else:
-            shape.append(1)
-    return permuted.reshape(shape)
+def _axis_view(
+    axes: tuple[str, ...], all_axes: list[str]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """View a tile with singleton dimensions inserted for absent classes."""
+    order = [axes.index(cls) for cls in all_axes if cls in axes]
+    present = [cls in axes for cls in all_axes]
+    identity = order == list(range(len(axes)))
+
+    def view(tile: np.ndarray) -> np.ndarray:
+        permuted = tile if identity else np.transpose(tile, order)
+        dims = iter(permuted.shape)
+        return permuted.reshape([next(dims) if p else 1 for p in present])
+
+    return view
 
 
-def reduce_axes_with(
-    values: np.ndarray, mon: Monoid, axes: Sequence[int]
+def combine_tiles(
+    mon: Monoid,
+    left: np.ndarray,
+    right: np.ndarray,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Reduce ``values`` over ``axes`` with a monoid ufunc."""
+    """Pairwise tile combination — the ``⊗′`` monoid of Section 5.3.
+
+    ``out`` (typically ``left``) folds in place into a buffer the caller
+    owns; the values equal the allocating form's exactly.
+    """
     if mon.np_combine is None:
         raise KernelUnsupported(f"monoid {mon.name!r} has no ufunc")
-    result = values
-    for axis in sorted(axes, reverse=True):
-        result = mon.np_combine.reduce(result, axis=axis)
-    return result
-
-
-def combine_tiles(mon: Monoid, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Pairwise tile combination — the ``⊗′`` monoid of Section 5.3."""
-    if mon.np_combine is None:
-        raise KernelUnsupported(f"monoid {mon.name!r} has no ufunc")
-    return mon.np_combine(left, right)
+    return mon.np_combine(left, right, out=out)

@@ -37,7 +37,7 @@ from .analysis import CompInfo
 from .codegen import get_fused_kernel
 from .groupby_join import GbjMatch, _match_stats, reconsider_join_strategy
 from .ir import IRNode, _digest
-from .kernels import combine_tiles, contract, gather
+from .kernels import combine_tiles, contract, gather, stack_by_shape
 from .passes import PlanState, cse_enabled, fusion_enabled
 from .plan import (
     Plan, RULE_COORDINATE, RULE_GROUP_BY_JOIN, RULE_LOCAL,
@@ -499,8 +499,7 @@ def _lower_gbj_replicate(root: IRNode, state: PlanState) -> Plan:
     grid_rows, grid_cols = match.grid_rows, match.grid_cols
     left_row_axis, left_join_axis = match.left_row_axis, match.left_join_axis
     right_col_axis, right_join_axis = match.right_col_axis, match.right_join_axis
-    left_axes, right_axes, out_axes = match.left_axes, match.right_axes, match.out_axes
-    term, mon, value_vars = match.term, match.mon, match.value_vars
+    mon, pair = match.mon, match.kernel.pair
 
     def replicate_left(record):
         coords, tile = record
@@ -531,13 +530,18 @@ def _lower_gbj_replicate(root: IRNode, state: PlanState) -> Plan:
         for k, tile in right_tiles:
             by_k.setdefault(k, []).append(tile)
         out: Optional[np.ndarray] = None
+        owned = False
         for k, left_tile in left_tiles:
             for right_tile in by_k.get(k, ()):
-                partial = contract(
-                    left_tile, right_tile, left_axes, right_axes, out_axes,
-                    term, mon, (value_vars[0], value_vars[1]),
-                )
-                out = partial if out is None else combine_tiles(mon, out, partial)
+                partial = contract(pair, left_tile, right_tile)
+                if out is None:
+                    out = partial
+                elif owned:
+                    combine_tiles(mon, out, partial, out=out)
+                else:
+                    # The first fold allocates the tile this reducer
+                    # owns; later partials accumulate into it in place.
+                    out, owned = combine_tiles(mon, out, partial), True
         if out is None:
             return None
         return key, out
@@ -575,49 +579,48 @@ def build_broadcast_thunk(
     small_is_left = side == "left"
     small = match.left_gen if small_is_left else match.right_gen
     large = match.right_gen if small_is_left else match.left_gen
-    left_row_axis, left_join_axis = match.left_row_axis, match.left_join_axis
-    right_col_axis, right_join_axis = match.right_col_axis, match.right_join_axis
-    left_axes, right_axes, out_axes = match.left_axes, match.right_axes, match.out_axes
-    term, mon, value_vars = match.term, match.mon, match.value_vars
+    if small_is_left:
+        small_join, small_out = match.left_join_axis, match.left_row_axis
+        large_join, large_out = match.right_join_axis, match.right_col_axis
+    else:
+        small_join, small_out = match.right_join_axis, match.right_col_axis
+        large_join, large_out = match.left_join_axis, match.left_row_axis
+    mon, batch = match.mon, match.kernel.batch
 
     def build():
         engine = large.tiles.ctx
-        # Collect and broadcast the small side, keyed by its join coord.
+        # Collect the small side and group it by join coordinate; each
+        # group is stacked into one 3-D batch per tile shape, so a large
+        # tile meets all of its partners in one contraction per shape.
         by_join: dict[int, list] = {}
-        if small_is_left:
-            for coords, tile in small.tile_records().collect():
-                by_join.setdefault(coords[left_join_axis], []).append(
-                    (coords[left_row_axis], tile)
-                )
-        else:
-            for coords, tile in small.tile_records().collect():
-                by_join.setdefault(coords[right_join_axis], []).append(
-                    (coords[right_col_axis], tile)
-                )
-        broadcast = engine.broadcast(by_join)
+        for coords, tile in small.tile_records().collect():
+            by_join.setdefault(coords[small_join], []).append(
+                (coords[small_out], tile)
+            )
+        panels = {}
+        for k, entries in by_join.items():
+            stacks, where = stack_by_shape([tile for _, tile in entries])
+            panels[k] = ([out for out, _ in entries], stacks, where)
+        broadcast = engine.broadcast(panels)
 
         def contract_large(record):
             coords, big_tile = record
-            out = []
+            panel = broadcast.value.get(coords[large_join])
+            if panel is None:
+                return []
+            small_outs, stacks, where = panel
+            big = big_tile[None]
+            large_out_coord = coords[large_out]
             if small_is_left:
-                k = coords[right_join_axis]
-                col = coords[right_col_axis]
-                for row, small_tile in broadcast.value.get(k, ()):
-                    partial = contract(
-                        small_tile, big_tile, left_axes, right_axes, out_axes,
-                        term, mon, (value_vars[0], value_vars[1]),
-                    )
-                    out.append(((row, col), partial))
+                products = [contract(batch, stack, big) for stack in stacks]
+                keys = [(row, large_out_coord) for row in small_outs]
             else:
-                k = coords[left_join_axis]
-                row = coords[left_row_axis]
-                for col, small_tile in broadcast.value.get(k, ()):
-                    partial = contract(
-                        big_tile, small_tile, left_axes, right_axes, out_axes,
-                        term, mon, (value_vars[0], value_vars[1]),
-                    )
-                    out.append(((row, col), partial))
-            return out
+                products = [contract(batch, big, stack) for stack in stacks]
+                keys = [(large_out_coord, col) for col in small_outs]
+            return [
+                (key, products[index][slot])
+                for key, (index, slot) in zip(keys, where)
+            ]
 
         tiles_rdd = (
             large.tile_records()

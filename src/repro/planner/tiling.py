@@ -56,7 +56,7 @@ from .ir import (
     OP_TILED_REDUCE, scan_gen_node,
 )
 from .kernels import (
-    KernelUnsupported, compile_vectorized_cached, contract,
+    KernelUnsupported, compile_vectorized_cached, contract, specialize_contract,
 )
 from .plan import (
     RULE_PRESERVE_TILING, RULE_TILED_REDUCE, RULE_TILED_SHUFFLE,
@@ -770,20 +770,23 @@ def _partial_tile_fn(
         left_axes = tuple(class_names[c] for c in gens[0].axis_classes)
         right_axes = tuple(class_names[c] for c in gens[1].axis_classes)
         out_axes = tuple(class_names[c] for c in out_classes)
-        slot_specs = []
+        pair_kernels = []
         for slot in info.slots:
             if not free_vars(slot.expr) <= {value_vars[0], value_vars[1]}:
                 return None
-            slot_specs.append((slot.expr, monoid(slot.monoid)))
+            try:
+                kernel = specialize_contract(
+                    left_axes, right_axes, out_axes, slot.expr,
+                    monoid(slot.monoid), (value_vars[0], value_vars[1]),
+                )
+            except KernelUnsupported:
+                return None
+            pair_kernels.append(kernel.pair)
 
         def compute_pair(coords, tiles):
             left, right = tiles
             return tuple(
-                contract(
-                    left, right, left_axes, right_axes, out_axes,
-                    term, mon, (value_vars[0], value_vars[1]),
-                )
-                for term, mon in slot_specs
+                contract(pair, left, right) for pair in pair_kernels
             )
 
         return compute_pair
@@ -880,7 +883,7 @@ def _reduce_pseudocode(setup: TiledSetup) -> str:
             "  A.tiles.map { case ((i,k),_a) => (k, ((i,k),_a)) }\n"
             "   .join( B.tiles.map { case ((kk,j),_b) => (kk, ((kk,j),_b)) } )\n"
             "   .map  { case (_, (((i,k),_a), ((kk,j),_b))) => ((i,j), V(_a,_b)) }\n"
-            "   .reduceByKey(⊗′))   // V = per-pair contraction (einsum)"
+            "   .reduceByKey(⊗′))   // V = the plan-time pair contraction kernel"
         )
     return (
         "Tiled(n,\n"

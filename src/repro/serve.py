@@ -257,16 +257,26 @@ class ServeServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
+        """Serve until :meth:`stop`; then return normally."""
         if self._server is None:
             await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+        server = self._server
+        try:
+            async with server:
+                await server.serve_forever()
+        except asyncio.CancelledError:
+            # stop() closes the server, which cancels the wait inside
+            # asyncio's serve_forever(): that is a clean shutdown.  A
+            # cancellation while this server is still ours is the
+            # caller's and propagates.
+            if self._server is server:
+                raise
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+            await server.wait_closed()
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

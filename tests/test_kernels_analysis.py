@@ -6,8 +6,10 @@ import pytest
 from repro.comprehension import Lit, Reduce, Var, desugar, normalize, parse
 from repro.comprehension.monoids import MONOIDS, is_monoid, monoid
 from repro.comprehension.errors import SacTypeError
-from repro.planner import analyze, compile_vectorized, contract, gather
-from repro.planner.kernels import KernelUnsupported
+from repro.planner import (
+    analyze, compile_vectorized, contract, gather, specialize_contract,
+)
+from repro.planner.kernels import KernelUnsupported, stack_by_shape
 
 
 def analyzed(source):
@@ -211,23 +213,30 @@ def test_gather_diagonal():
     np.testing.assert_allclose(gather(tile, [0, 0], grids), np.diag(tile))
 
 
-def test_contract_matmul_uses_einsum():
+def pair_contract(a, b, left_axes, right_axes, out_axes, term, mon):
+    kernel = specialize_contract(
+        left_axes, right_axes, out_axes, term, mon, ("x", "y")
+    )
+    return contract(kernel.pair, a, b)
+
+
+def test_contract_matmul_uses_blas():
     a = np.random.default_rng(0).normal(size=(3, 4))
     b = np.random.default_rng(1).normal(size=(4, 2))
-    out = contract(
-        a, b, ("i", "k"), ("k", "j"), ("i", "j"),
-        parse("x * y"), monoid("+"), ("x", "y"),
+    kernel = specialize_contract(
+        ("i", "k"), ("k", "j"), ("i", "j"), parse("x * y"), monoid("+"),
+        ("x", "y"),
     )
-    np.testing.assert_allclose(out, a @ b)
+    assert kernel.kind == "matmul"
+    np.testing.assert_allclose(contract(kernel.pair, a, b), a @ b)
 
 
 def test_contract_transposed_orientations():
     a = np.random.default_rng(2).normal(size=(3, 4))
     b = np.random.default_rng(3).normal(size=(5, 4))
     # A @ B.T: join both on their second axis.
-    out = contract(
-        a, b, ("i", "k"), ("j", "k"), ("i", "j"),
-        None, monoid("+"), ("x", "y"),
+    out = pair_contract(
+        a, b, ("i", "k"), ("j", "k"), ("i", "j"), None, monoid("+")
     )
     np.testing.assert_allclose(out, a @ b.T)
 
@@ -236,9 +245,8 @@ def test_contract_general_monoid_broadcast():
     a = np.array([[1.0, 5.0], [2.0, 0.0]])
     b = np.array([[3.0, 1.0], [4.0, 2.0]])
     # max over k of (x + y): not multiply-add, uses the broadcast path.
-    out = contract(
-        a, b, ("i", "k"), ("k", "j"), ("i", "j"),
-        parse("x + y"), monoid("max"), ("x", "y"),
+    out = pair_contract(
+        a, b, ("i", "k"), ("k", "j"), ("i", "j"), parse("x + y"), monoid("max")
     )
     expected = np.max(a[:, :, None] + b[None, :, :], axis=1)
     np.testing.assert_allclose(out, expected)
@@ -247,7 +255,119 @@ def test_contract_general_monoid_broadcast():
 def test_contract_matvec():
     a = np.random.default_rng(4).normal(size=(3, 4))
     v = np.random.default_rng(5).normal(size=4)
-    out = contract(
-        a, v, ("i", "j"), ("j",), ("i",), None, monoid("+"), ("x", "y")
-    )
+    out = pair_contract(a, v, ("i", "j"), ("j",), ("i",), None, monoid("+"))
     np.testing.assert_allclose(out, a @ v)
+
+
+#: Every orientation the BLAS kernel covers: (left axes, right axes,
+#: output axes, reference on one pair).
+BLAS_ORIENTATIONS = {
+    "A.B": (("i", "k"), ("k", "j"), ("i", "j"), lambda a, b: a @ b),
+    "At.B": (("k", "i"), ("k", "j"), ("i", "j"), lambda a, b: a.T @ b),
+    "A.Bt": (("i", "k"), ("j", "k"), ("i", "j"), lambda a, b: a @ b.T),
+    "(A.B)t": (("i", "k"), ("k", "j"), ("j", "i"), lambda a, b: (a @ b).T),
+    "B.A": (("k", "j"), ("i", "k"), ("i", "j"), lambda a, b: b @ a),
+    "A.v": (("i", "k"), ("k",), ("i",), lambda a, b: a @ b),
+    "At.v": (("k", "i"), ("k",), ("i",), lambda a, b: a.T @ b),
+    "v.B": (("k",), ("k", "j"), ("j",), lambda a, b: a @ b),
+    "v.Bt": (("k",), ("j", "k"), ("j",), lambda a, b: a @ b.T),
+}
+
+
+def _operand(axes, extent, rng, count):
+    """``count`` random tiles with ``extent[cls]`` along each axis."""
+    return rng.normal(size=(count,) + tuple(extent[c] for c in axes))
+
+
+def _assert_batch_matches_pairs(kernel, lefts, rights):
+    products = contract(kernel.batch, lefts, rights)
+    count = max(len(lefts), len(rights))
+    assert len(products) == count
+    for index in range(count):
+        left = lefts[index if len(lefts) > 1 else 0]
+        right = rights[index if len(rights) > 1 else 0]
+        expected = contract(kernel.pair, left, right)
+        got = np.asarray(products[index])
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("tile", [13, 25, 40, 50, 100])
+@pytest.mark.parametrize("name", sorted(BLAS_ORIENTATIONS))
+def test_batch_kernel_is_byte_identical_to_pair_kernel(name, tile):
+    left_axes, right_axes, out_axes, reference = BLAS_ORIENTATIONS[name]
+    kernel = specialize_contract(
+        left_axes, right_axes, out_axes, parse("x * y"), monoid("+"),
+        ("x", "y"),
+    )
+    assert kernel.kind == "matmul"
+    rng = np.random.default_rng(tile)
+    extent = {"i": tile, "j": tile, "k": tile}
+    lefts = _operand(left_axes, extent, rng, 4)
+    rights = _operand(right_axes, extent, rng, 4)
+    np.testing.assert_allclose(
+        contract(kernel.pair, lefts[0], rights[0]), reference(lefts[0], rights[0])
+    )
+    # One tile against a stack, on either side (broadcast).
+    _assert_batch_matches_pairs(kernel, lefts[:1], rights)
+    _assert_batch_matches_pairs(kernel, lefts, rights[:1])
+
+
+@pytest.mark.parametrize("term", ["x * y", "y * x"])
+def test_batch_kernel_ragged_tiles_and_commuted_term(term):
+    """n=130 at tile 25 leaves 5-wide edge tiles.  As in the broadcast
+    group-by-join, each join coordinate's left tiles are stacked per
+    shape and contracted against one right tile; every slice must match
+    the pair kernel byte for byte."""
+    kernel = specialize_contract(
+        ("i", "k"), ("k", "j"), ("i", "j"), parse(term), monoid("+"),
+        ("x", "y"),
+    )
+    assert kernel.kind == "matmul"
+    rng = np.random.default_rng(130)
+    a = rng.normal(size=(130, 130))
+    b = rng.normal(size=(130, 130))
+    edges = list(range(0, 130, 25))
+    for k in edges:
+        column = [a[i:i + 25, k:k + 25] for i in edges]
+        stacks, where = stack_by_shape(column)
+        assert len(stacks) == 2
+        for j in edges:
+            right = b[k:k + 25, j:j + 25]
+            products = [
+                contract(kernel.batch, stack, right[None]) for stack in stacks
+            ]
+            for left, (index, slot) in zip(column, where):
+                expected = contract(kernel.pair, left, right)
+                assert products[index][slot].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "mon,reference",
+    [
+        ("min", lambda a, b: np.min(a[:, :, None] + b[None, :, :], axis=1)),
+        ("max", lambda a, b: np.max(a[:, :, None] + b[None, :, :], axis=1)),
+    ],
+)
+def test_non_plus_monoid_takes_the_ufunc_reduce_path(mon, reference):
+    kernel = specialize_contract(
+        ("i", "k"), ("k", "j"), ("i", "j"), parse("x + y"), monoid(mon),
+        ("x", "y"),
+    )
+    assert kernel.kind == "ufunc"
+    rng = np.random.default_rng(7)
+    lefts = rng.normal(size=(3, 6, 5))
+    rights = rng.normal(size=(3, 5, 4))
+    np.testing.assert_array_equal(
+        contract(kernel.pair, lefts[0], rights[0]), reference(lefts[0], rights[0])
+    )
+    _assert_batch_matches_pairs(kernel, lefts[:1], rights)
+    _assert_batch_matches_pairs(kernel, lefts, rights[:1])
+
+
+def test_unvectorizable_term_is_rejected_at_specialization():
+    with pytest.raises(KernelUnsupported):
+        specialize_contract(
+            ("i", "k"), ("k", "j"), ("i", "j"), parse("mystery(x, y)"),
+            monoid("max"), ("x", "y"),
+        )

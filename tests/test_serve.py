@@ -288,6 +288,27 @@ def test_concurrent_http_clients_share_the_substrate(service):
         _shutdown(server, loop)
 
 
+def test_stop_ends_serve_forever_cleanly_other_cancels_propagate(service):
+    async def main():
+        server = ServeServer(service, port=0)
+        await server.start()
+        serving = asyncio.ensure_future(server.serve_forever())
+        await asyncio.sleep(0)
+        await server.stop()
+        assert await serving is None
+
+        server = ServeServer(service, port=0)
+        await server.start()
+        serving = asyncio.ensure_future(server.serve_forever())
+        await asyncio.sleep(0)
+        serving.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await serving
+        await server.stop()
+
+    asyncio.run(main())
+
+
 # ----------------------------------------------------------------------
 # CLI entry
 # ----------------------------------------------------------------------
