@@ -35,7 +35,7 @@ from .serialization import RecordSizeAccountant
 from .shuffle import (
     Aggregator,
     MapOutputStatistics,
-    PipelinedShuffle,
+    Shuffle,
     ShuffleManager,
 )
 from .taskgraph import Task, TaskGraph, compile_job_graph
@@ -65,11 +65,11 @@ __all__ = [
     "PlanCacheGroup",
     "PAPER_CLUSTER",
     "Partitioner",
-    "PipelinedShuffle",
     "PipelinedTaskRunner",
     "RDD",
     "RecordSizeAccountant",
     "SerialTaskRunner",
+    "Shuffle",
     "ShuffleManager",
     "SpillLostError",
     "Task",

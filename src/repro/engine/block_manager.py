@@ -51,7 +51,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from .metrics import MetricsRegistry
 from .partitioner import Partitioner
@@ -130,9 +130,20 @@ class ManagedOutput:
             raise IndexError(split)
         return self._blocks.get_managed(self.owner, split)
 
+    def __setitem__(self, split: int, records: list) -> None:
+        self._blocks.put_managed(self.owner, split, records)
+
     def __iter__(self):
         for split in range(self.num_partitions):
             yield self[split]
+
+    def prefetch(self) -> None:
+        """Restore spilled partitions ahead of a reader going from split 0 up."""
+        self._blocks.prefetch_namespace(self.owner)
+
+    def release(self) -> None:
+        """Drop every partition from memory and the spill tier."""
+        self._blocks.drop_managed(self.owner)
 
     def __repr__(self) -> str:
         return (
@@ -180,10 +191,12 @@ class BlockManager:
         #: runner's fault points (``inject_failure("restore", ...)``).
         self.runner: Any = None
         self._blocks: "OrderedDict[tuple[str, int], _Block]" = OrderedDict()
+        #: Resident splits per namespace (an index over ``_blocks``).
+        self._resident: "dict[str, set[int]]" = {}
         self._bytes = 0
-        #: Spilled blocks: key -> accounted nbytes (spill-time size, so
-        #: spill/restore counters pair up exactly).
-        self._spilled: "dict[tuple[str, int], int]" = {}
+        #: Spilled blocks: namespace -> split -> accounted nbytes
+        #: (spill-time size, so spill/restore counters pair up exactly).
+        self._spilled: "dict[str, dict[int, int]]" = {}
         #: In-flight restores; readers wait on the event instead of
         #: restoring (and deleting the spill object) twice.
         self._restoring: "dict[tuple[str, int], threading.Event]" = {}
@@ -228,7 +241,7 @@ class BlockManager:
     def spilled_bytes_held(self) -> int:
         """Estimated bytes currently parked in the spill tier."""
         with self._lock:
-            return sum(self._spilled.values())
+            return sum(sum(splits.values()) for splits in self._spilled.values())
 
     @property
     def num_blocks(self) -> int:
@@ -276,9 +289,7 @@ class BlockManager:
                 if quota is not None and nbytes > quota:
                     return False
             self._drop_spilled(key)
-            self._blocks[key] = _Block(records, nbytes)
-            self._bytes += nbytes
-            self._account_add(key, nbytes)
+            self._add_block(key, _Block(records, nbytes))
             self._evict_to_budget(protect=key)
             return True
 
@@ -307,7 +318,7 @@ class BlockManager:
                     return block.records
                 event = self._restoring.get(key)
                 if event is None:
-                    nbytes = self._spilled.get(key)
+                    nbytes = self._spilled.get(key[0], {}).get(key[1])
                     if nbytes is None or self._store is None:
                         self._metrics.record_cache_miss()
                         return None
@@ -355,11 +366,9 @@ class BlockManager:
                         self._metrics.record_cache_miss()
                     return None
                 if key not in self._blocks:
-                    self._blocks[key] = _Block(
-                        records, nbytes, prefetched=prefetch
+                    self._add_block(
+                        key, _Block(records, nbytes, prefetched=prefetch)
                     )
-                    self._bytes += nbytes
-                    self._account_add(key, nbytes)
                     self._evict_to_budget(protect=key)
                 self._metrics.record_spill_restore(
                     nbytes, 0.0 if prefetch else stall
@@ -376,11 +385,45 @@ class BlockManager:
 
     def _drop_spilled(self, key: tuple[str, int]) -> None:
         """Forget a spill entry and its stored object (lock held)."""
-        if self._spilled.pop(key, None) is not None and self._store is not None:
+        splits = self._spilled.get(key[0])
+        if splits is None or splits.pop(key[1], None) is None:
+            return
+        if not splits:
+            del self._spilled[key[0]]
+        if self._store is not None:
             try:
                 self._store.delete(self._spill_key(key))
             except Exception:  # pragma: no cover - best effort
                 pass
+
+    def _add_block(self, key: tuple[str, int], block: _Block) -> None:
+        """Make ``block`` resident and charge it (lock held)."""
+        self._blocks[key] = block
+        self._resident.setdefault(key[0], set()).add(key[1])
+        self._bytes += block.nbytes
+        self._account_add(key, block.nbytes)
+
+    def _pop_block(self, key: tuple[str, int]) -> _Block:
+        """Remove a resident block and release its charge (lock held)."""
+        block = self._blocks.pop(key)
+        splits = self._resident[key[0]]
+        splits.discard(key[1])
+        if not splits:
+            del self._resident[key[0]]
+        self._bytes -= block.nbytes
+        self._account_sub(key, block.nbytes)
+        return block
+
+    def _drop_namespace(self, ns: str) -> int:
+        """Forget every block of ``ns`` in both tiers; returns the
+        resident bytes freed (lock held)."""
+        freed = 0
+        for split in list(self._resident.get(ns, ())):
+            freed += self._pop_block((ns, split)).nbytes
+        for split in list(self._spilled.get(ns, ())):
+            self._drop_spilled((ns, split))
+        self._ns_tenant.pop(ns, None)
+        return freed
 
     def _account_add(self, key: tuple[str, int], nbytes: int) -> None:
         """Charge a now-resident block to its owning tenant (lock held)."""
@@ -400,9 +443,7 @@ class BlockManager:
 
     def _evict_one(self, victim: tuple[str, int]) -> int:
         """Evict (and possibly spill) one resident block (lock held)."""
-        block = self._blocks.pop(victim)
-        self._bytes -= block.nbytes
-        self._account_sub(victim, block.nbytes)
+        block = self._pop_block(victim)
         self._metrics.record_cache_eviction(block.nbytes)
         if self._store is not None:
             self._spill(victim, block)
@@ -479,20 +520,25 @@ class BlockManager:
             # degrade to the historical drop-for-recompute eviction.
             return
         self._store.put(self._spill_key(key), data)
-        self._spilled[key] = block.nbytes
+        self._spilled.setdefault(key[0], {})[key[1]] = block.nbytes
         self._metrics.record_spill(block.nbytes)
 
     def contains(self, rdd_id: int, split: int) -> bool:
-        key = (self._cache_ns(rdd_id), split)
+        ns = self._cache_ns(rdd_id)
         with self._lock:
-            return key in self._blocks or key in self._spilled
+            return (
+                split in self._resident.get(ns, ())
+                or split in self._spilled.get(ns, ())
+            )
 
     def contains_all(self, rdd_id: int, num_splits: int) -> bool:
         """Whether every partition of an RDD is cached or restorable."""
+        ns = self._cache_ns(rdd_id)
         with self._lock:
-            ns = self._cache_ns(rdd_id)
+            resident = self._resident.get(ns, ())
+            spilled = self._spilled.get(ns, ())
             return all(
-                (ns, split) in self._blocks or (ns, split) in self._spilled
+                split in resident or split in spilled
                 for split in range(num_splits)
             )
 
@@ -504,18 +550,7 @@ class BlockManager:
         from the store as well.
         """
         with self._lock:
-            ns = self._cache_ns(rdd_id)
-            victims = [key for key in self._blocks if key[0] == ns]
-            freed = 0
-            for key in victims:
-                nbytes = self._blocks.pop(key).nbytes
-                self._account_sub(key, nbytes)
-                freed += nbytes
-            self._bytes -= freed
-            for key in [key for key in self._spilled if key[0] == ns]:
-                self._drop_spilled(key)
-            self._ns_tenant.pop(ns, None)
-            return freed
+            return self._drop_namespace(self._cache_ns(rdd_id))
 
     # ------------------------------------------------------------------
     # Managed outputs (wide-dependency results under the budget)
@@ -549,9 +584,7 @@ class BlockManager:
             if tenant:
                 self._ns_tenant.setdefault(owner, tenant)
             self._drop_spilled(key)
-            self._blocks[key] = _Block(records, nbytes)
-            self._bytes += nbytes
-            self._account_add(key, nbytes)
+            self._add_block(key, _Block(records, nbytes))
             self._evict_to_budget(protect=key)
             return nbytes
 
@@ -570,34 +603,7 @@ class BlockManager:
     def drop_managed(self, owner: str) -> None:
         """Forget every partition of ``owner`` (memory and spill tier)."""
         with self._lock:
-            victims = [key for key in self._blocks if key[0] == owner]
-            for key in victims:
-                nbytes = self._blocks.pop(key).nbytes
-                self._account_sub(key, nbytes)
-                self._bytes -= nbytes
-            for key in [key for key in self._spilled if key[0] == owner]:
-                self._drop_spilled(key)
-            self._ns_tenant.pop(owner, None)
-
-    def adopt_output(
-        self,
-        owner: str,
-        partitions: Iterable[list],
-        stats: Any = None,
-        tenant: str = "",
-    ) -> ManagedOutput:
-        """Adopt a wide dependency's finished partitions one at a time.
-
-        Each partition is admitted (and possibly spilled) before the
-        next is consumed from ``partitions``, so adopting an oversized
-        output never holds more than budget + one partition resident.
-        """
-        count = 0
-        self.drop_managed(owner)
-        for split, records in enumerate(partitions):
-            self.put_managed(owner, split, records, tenant=tenant)
-            count += 1
-        return ManagedOutput(self, owner, count, stats=stats)
+            self._drop_namespace(owner)
 
     # ------------------------------------------------------------------
     # Prefetch
@@ -618,13 +624,13 @@ class BlockManager:
         if self._store is None or not self._prefetch_enabled:
             return
         with self._lock:
-            keys = sorted(key for key in self._spilled if key[0] == ns)
-            if not keys:
+            splits = sorted(self._spilled.get(ns, ()))
+            if not splits:
                 return
             pool = self._pool()
-        for key in keys:
+        for split in splits:
             try:
-                pool.submit(self._prefetch_one, key)
+                pool.submit(self._prefetch_one, (ns, split))
             except RuntimeError:  # pool shut down mid-close
                 return
 
@@ -654,16 +660,14 @@ class BlockManager:
         """
         if self._store is None or not self._prefetch_enabled:
             return
-        best: Optional[tuple[str, int]] = None
-        for key in self._spilled:
-            if key[0] == ns and key[1] > split and (
-                best is None or key[1] < best[1]
-            ):
-                best = key
+        best = min(
+            (later for later in self._spilled.get(ns, ()) if later > split),
+            default=None,
+        )
         if best is None:
             return
         try:
-            self._pool().submit(self._prefetch_one, best)
+            self._pool().submit(self._prefetch_one, (ns, best))
         except RuntimeError:  # pool shut down mid-close
             pass
 
@@ -671,7 +675,7 @@ class BlockManager:
         with self._lock:
             if key in self._blocks or key in self._restoring:
                 return
-            nbytes = self._spilled.get(key)
+            nbytes = self._spilled.get(key[0], {}).get(key[1])
             if nbytes is None:
                 return
             if self._budget is not None and self._bytes + nbytes > self._budget:
@@ -734,10 +738,13 @@ class BlockManager:
         aggregator: Optional[Aggregator],
         output: Any,
         opt_in: bool = False,
-    ) -> None:
-        """Retain a finished shuffle's output for later equal shuffles."""
+    ) -> bool:
+        """Retain a finished shuffle's output for later equal shuffles.
+
+        Returns whether it was retained.
+        """
         if not (self._reuse_shuffles or opt_in):
-            return
+            return False
         with self._lock:
             self._shuffles.setdefault(parent_id, []).append(
                 _ShuffleEntry(partitioner, aggregator, output)
@@ -750,6 +757,7 @@ class BlockManager:
                 if not entries:
                     del self._shuffles[oldest_parent]
                 self._num_shuffle_entries -= 1
+        return True
 
     # ------------------------------------------------------------------
     # Tenancy
@@ -812,9 +820,11 @@ class BlockManager:
         """
         with self._lock:
             self._blocks.clear()
+            self._resident.clear()
             self._bytes = 0
-            for key in list(self._spilled):
-                self._drop_spilled(key)
+            for ns, splits in list(self._spilled.items()):
+                for split in list(splits):
+                    self._drop_spilled((ns, split))
             self._shuffles.clear()
             self._num_shuffle_entries = 0
             self._ns_tenant.clear()
@@ -832,7 +842,7 @@ class BlockManager:
             return (
                 f"BlockManager(blocks={len(self._blocks)}, "
                 f"bytes={self._bytes}, budget={self._budget}, "
-                f"spilled={len(self._spilled)}, "
+                f"spilled={sum(map(len, self._spilled.values()))}, "
                 f"shuffles={self._num_shuffle_entries})"
             )
 
@@ -861,12 +871,13 @@ class TenantBlockView:
             owner, split, records, tenant=self.tenant
         )
 
-    def adopt_output(
-        self, owner: str, partitions: Iterable[list], stats: Any = None
+    def managed_output(
+        self, owner: str, num_partitions: int, stats: Any = None
     ) -> ManagedOutput:
-        return self._manager.adopt_output(
-            owner, partitions, stats=stats, tenant=self.tenant
-        )
+        # The handle writes through this view, so its partitions are
+        # charged to the tenant.
+        self._manager.drop_managed(owner)
+        return ManagedOutput(self, owner, num_partitions, stats=stats)
 
     def view(self, tenant: str) -> "TenantBlockView":
         return self._manager.view(tenant)

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, T
 
 from .partitioner import HashPartitioner, Partitioner
 from .block_manager import SpillLostError
-from .shuffle import Aggregator, MapOutputStatistics
+from .shuffle import Aggregator, MapOutputStatistics, new_output
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .context import EngineContext
@@ -881,61 +881,34 @@ class MapPartitionsRDD(RDD):
         return iter(self._func(split, self._parent.iterator(split)))
 
 
-#: Sentinel marking a pipelined output partition that has not landed yet.
-_PENDING = object()
-
-
 class _PipelinedWide:
-    """Per-partition output slots for task-graph (pipelined) execution.
+    """A wide node's output while a task graph produces it.
 
-    While a pipelined job runs, a wide node's output partitions land one
-    at a time in :attr:`_pipeline_slots`; downstream tasks whose
-    dependency edges have fired read them through :meth:`compute` before
-    the node is fully materialized.  When every partition has landed the
-    compiler *promotes* the slots to the permanent ``_output`` (the same
-    object shape the staged path produces), so later jobs see a
-    materialized node indistinguishable from a staged run.
+    A pipelined job claims the node (:attr:`_pipeline_job`) and fills the
+    output container it will end up with (:attr:`_pipeline_output`, from
+    :func:`~repro.engine.shuffle.new_output`) one partition at a time;
+    downstream tasks whose dependency edges have fired read it through
+    :meth:`compute` before the node is fully materialized.  When every
+    partition has landed the compiler *promotes* the container to the
+    permanent ``_output``, so later jobs see a node materialized exactly
+    as a staged run leaves it.
     """
 
-    _pipeline_slots: Optional[list] = None
-
-    def _pipeline_install(self) -> None:
-        self._pipeline_slots = [_PENDING] * self._num_partitions
-
-    def _pipeline_fill(self, split: int, records: list) -> None:
-        self._pipeline_slots[split] = records
-
-    def _pipeline_promote(self, output: list) -> None:
-        blocks = self.ctx.block_manager
-        if blocks.spill_enabled:
-            # Out-of-core tier: the permanent output lives under the
-            # memory budget as managed partitions (spillable), not as a
-            # pinned driver-side list.  Mid-flight slots stay plain lists
-            # — pipelining trades strict mid-job bounding for overlap —
-            # but everything a *later* job can read is budget-governed.
-            self._output = blocks.adopt_output(
-                f"out/{self.id}", output, stats=getattr(output, "stats", None)
-            )
-        else:
-            self._output = output
-        self._pipeline_slots = None
-
-    def _pipeline_cleanup(self) -> None:
-        """Drop un-promoted slots (no-op after promotion)."""
-        self._pipeline_slots = None
+    _pipeline_output: Any = None
+    _pipeline_job: Any = None
 
     def _pipeline_compute(self, split: int) -> Optional[Iterator]:
-        """Partition ``split`` from the in-flight slots, or ``None``.
+        """Partition ``split`` from the in-flight output, or ``None``.
 
-        Raises when the slot has not landed: a pipelined task reading an
-        unfilled slot means the task graph is missing a dependency edge,
+        Raises when the partition has not landed: a pipelined task
+        reading it means the task graph is missing a dependency edge,
         which must fail loudly rather than silently re-run the shuffle.
         """
-        slots = self._pipeline_slots
-        if slots is None:
+        output = self._pipeline_output
+        if output is None:
             return None
-        value = slots[split]
-        if value is _PENDING:
+        value = output[split]
+        if value is None:
             raise RuntimeError(
                 f"pipelined read of partition {split} of rdd {self.id} "
                 f"before it landed (missing task-graph dependency edge)"
@@ -943,11 +916,16 @@ class _PipelinedWide:
         return iter(value)
 
     def _check_not_pipelining(self) -> None:
-        if self._pipeline_slots is not None:
+        if self._pipeline_output is not None:
             raise RuntimeError(
                 f"cannot materialize rdd {self.id} behind a stage barrier "
                 f"while a pipelined job is producing it"
             )
+
+    def _new_output(self, num_partitions: int) -> Any:
+        return new_output(
+            self.ctx.block_manager, f"out/{self.id}", num_partitions
+        )
 
 
 class ShuffledRDD(_PipelinedWide, RDD):
@@ -975,7 +953,6 @@ class ShuffledRDD(_PipelinedWide, RDD):
         self._output: Optional[list[list[tuple[Any, Any]]]] = None
         self._map_stats: Optional[MapOutputStatistics] = None
         self._materialize_lock = threading.Lock()
-        self._pipeline_slots = None
 
     @property
     def dependencies(self) -> list[RDD]:
@@ -1053,11 +1030,11 @@ class ShuffledRDD(_PipelinedWide, RDD):
         )
         return output
 
-    def _combine_partition(self, split: int) -> tuple[list, float]:
-        """The in-place combine work for one co-partitioned partition.
+    def _combine_into(self, output: Any, split: int) -> float:
+        """Combine one co-partitioned partition into ``output[split]``.
 
         Shared by the staged :meth:`_local_combine` stage and the
-        pipelined combine tasks; returns ``(combined, own_seconds)``.
+        pipelined combine tasks; returns the task's own-seconds.
         """
         with self.ctx.metrics.task_timer() as timer:
             self.ctx.runner.fault_point(f"combine:{self.id}", split)
@@ -1073,45 +1050,21 @@ class ShuffledRDD(_PipelinedWide, RDD):
                     else:
                         combiners[key] = agg.create_combiner(value)
                 combined = list(combiners.items())
-        return combined, timer.own_seconds
+        output[split] = combined
+        return timer.own_seconds
 
-    def _local_combine(self) -> list[list[tuple[Any, Any]]]:
+    def _local_combine(self) -> Any:
         """Parent already partitioned correctly: combine in place."""
-        blocks = self.ctx.block_manager
-        if blocks.spill_enabled:
-            # Out-of-core: each combined partition goes under the budget
-            # as soon as its task produces it, instead of accumulating
-            # in a driver-side list.  Same stage/task accounting.
-            owner = f"out/{self.id}"
-            output = blocks.managed_output(owner, self._parent.num_partitions)
-
-            def combine_task(split: int) -> float:
-                combined, seconds = self._combine_partition(split)
-                blocks.put_managed(owner, split, combined)
-                return seconds
-
-            task_seconds = self.ctx.runner.run_stage(
-                [
-                    (lambda split=split: combine_task(split))
-                    for split in range(self._parent.num_partitions)
-                ]
-            )
-            self.ctx.metrics.record_stage(
-                self._parent.num_partitions, list(task_seconds)
-            )
-            # Downstream tasks read the output from split 0 up next;
-            # warm the early (spilled-first) partitions ahead of them.
-            blocks.prefetch_namespace(owner)
-            return output
-        results = self.ctx.runner.run_stage(
+        count = self._parent.num_partitions
+        output = self._new_output(count)
+        task_seconds = self.ctx.runner.run_stage(
             [
-                (lambda split=split: self._combine_partition(split))
-                for split in range(self._parent.num_partitions)
+                (lambda split=split: self._combine_into(output, split))
+                for split in range(count)
             ]
         )
-        output = [combined for combined, _seconds in results]
-        task_seconds = [seconds for _combined, seconds in results]
-        self.ctx.metrics.record_stage(self._parent.num_partitions, task_seconds)
+        self.ctx.metrics.record_stage(count, list(task_seconds))
+        output.prefetch()
         return output
 
     def _discard_lost_output(self, output: Any) -> None:
@@ -1123,9 +1076,7 @@ class ShuffledRDD(_PipelinedWide, RDD):
         """
         with self._materialize_lock:
             if self._output is output:
-                owner = getattr(output, "owner", None)
-                if owner is not None:
-                    self.ctx.block_manager.drop_managed(owner)
+                output.release()
                 self._output = None
                 self._map_stats = None
 
@@ -1164,7 +1115,6 @@ class CoGroupedRDD(_PipelinedWide, RDD):
         self._parents = parents
         self._output: Optional[list[list[tuple[Any, Any]]]] = None
         self._materialize_lock = threading.Lock()
-        self._pipeline_slots = None
         #: Per-parent map-output histograms, filled during materialization
         #: (``None`` for a parent that never crossed the shuffle).
         self._parent_stats: list[Optional[MapOutputStatistics]] = []
@@ -1216,194 +1166,114 @@ class CoGroupedRDD(_PipelinedWide, RDD):
                 output = self._output
         return output
 
-    def _drain_partition(self, parent: RDD, index: int, split: int) -> tuple:
-        """Drain one co-partitioned parent partition in place.
+    def _drain_into(
+        self, scratch: Any, parent: RDD, index: int, split: int
+    ) -> float:
+        """Drain one co-partitioned parent partition into ``scratch``.
 
-        Shared by the staged stage below and the pipelined drain tasks;
-        returns ``(records, own_seconds)``.
+        Shared by the staged drain stage and the pipelined drain tasks;
+        returns the task's own-seconds.
         """
         with self.ctx.metrics.task_timer() as timer:
             self.ctx.runner.fault_point(f"drain:{self.id}.{index}", split)
             records = list(parent.iterator(split))
-        return records, timer.own_seconds
+        scratch[split] = records
+        return timer.own_seconds
 
-    def _parent_buckets(
-        self, parent: RDD, index: int
-    ) -> list[list[tuple[Any, Any]]]:
-        """One bucket per output partition for one parent."""
+    def _merge_split(self, sources: list, output: Any, split: int) -> float:
+        """Group split ``split`` of every parent's buckets into ``output``.
+
+        Parents merge in order, so each key's value lists keep parent
+        order; only one split's table is resident at a time.  Shared by
+        the staged merge stage and the pipelined merge tasks; returns
+        the task's own-seconds.
+        """
+        arity = len(sources)
+        with self.ctx.metrics.task_timer() as timer:
+            table: dict[Any, tuple[list, ...]] = {}
+            for index, source in enumerate(sources):
+                self.ctx.runner.fault_point(f"merge:{self.id}", split)
+                for key, value in source[split]:
+                    entry = table.get(key)
+                    if entry is None:
+                        entry = tuple([] for _ in range(arity))
+                        table[key] = entry
+                    entry[index].append(value)
+        output[split] = list(table.items())
+        return timer.own_seconds
+
+    def _parent_buckets(self, parent: RDD, index: int) -> tuple[Any, bool]:
+        """One bucket per output partition for one parent.
+
+        Returns ``(buckets, disposable)``: disposable buckets are
+        released once the merge has read them; reused or retained
+        shuffle outputs are not.
+        """
+        blocks = self.ctx.block_manager
         if parent.partitioner == self.partitioner:
-            blocks = self.ctx.block_manager
-            if blocks.spill_enabled:
-                # Out-of-core: drained partitions park under the budget
-                # in a scratch namespace until the merge pass consumes
-                # them (dropped in :meth:`_run_cogroup`).
-                scratch = f"scratch/{self.id}.{index}"
-                out = blocks.managed_output(scratch, parent.num_partitions)
-
-                def drain_task(i: int) -> float:
-                    records, seconds = self._drain_partition(parent, index, i)
-                    blocks.put_managed(scratch, i, records)
-                    return seconds
-
-                task_seconds = self.ctx.runner.run_stage(
-                    [
-                        (lambda i=i: drain_task(i))
-                        for i in range(parent.num_partitions)
-                    ]
-                )
-                self.ctx.metrics.record_stage(
-                    parent.num_partitions, list(task_seconds)
-                )
-                self._parent_stats.append(None)
-                return out
             # Already co-partitioned: drain parent partitions in place
             # (independent splits, so they fan out on the runner).
-            results = self.ctx.runner.run_stage(
+            count = parent.num_partitions
+            scratch = new_output(blocks, f"scratch/{self.id}.{index}", count)
+            task_seconds = self.ctx.runner.run_stage(
                 [
-                    (lambda i=i: self._drain_partition(parent, index, i))
-                    for i in range(parent.num_partitions)
+                    (lambda i=i: self._drain_into(scratch, parent, index, i))
+                    for i in range(count)
                 ]
             )
-            self.ctx.metrics.record_stage(
-                parent.num_partitions,
-                [seconds for _records, seconds in results],
-            )
+            self.ctx.metrics.record_stage(count, list(task_seconds))
             self._parent_stats.append(None)
-            return [records for records, _seconds in results]
-        blocks = self.ctx.block_manager
+            return scratch, True
         opt_in = self._reuse_opt_in or parent._reuse_opt_in
         reused = blocks.lookup_shuffle(
             parent.id, self.partitioner, None, opt_in=opt_in
         )
         if reused is not None:
             self._parent_stats.append(getattr(reused, "stats", None))
-            return reused
+            return reused, False
         map_outputs = (parent.iterator(i) for i in range(parent.num_partitions))
         buckets = self.ctx.shuffle_manager.shuffle(
             map_outputs, self.partitioner, None,
             stage_label=f"{self.id}.{index}",
         )
-        self._parent_stats.append(getattr(buckets, "stats", None))
-        blocks.register_shuffle(
+        self._parent_stats.append(buckets.stats)
+        retained = blocks.register_shuffle(
             parent.id, self.partitioner, None, buckets, opt_in=opt_in
         )
-        return buckets
+        return buckets, not retained
 
-    def _run_cogroup(self) -> list[list[tuple[Any, Any]]]:
+    def _run_cogroup(self) -> Any:
         # Fresh per materialization: a lineage-fallback re-run (lost
         # spill) must not accumulate stale per-parent histograms.
         self._parent_stats = []
-        if self.ctx.block_manager.spill_enabled:
-            return self._run_cogroup_spill()
-        arity = len(self._parents)
-        grouped: list[dict[Any, tuple[list, ...]]] = [
-            {} for _ in range(self.num_partitions)
-        ]
-        merge_seconds = [0.0] * self.num_partitions
-        # Parents are processed sequentially so each key's value lists
-        # keep parent order; the per-split merges within one parent are
-        # independent and fan out on the runner.
-        for index, parent in enumerate(self._parents):
-            buckets = self._parent_buckets(parent, index)
-
-            def make_merge_task(
-                split: int, bucket: list, index: int = index
-            ) -> Callable[[], Any]:
-                def task() -> Any:
-                    with self.ctx.metrics.task_timer() as timer:
-                        self.ctx.runner.fault_point(f"merge:{self.id}", split)
-                        table = grouped[split]
-                        for key, value in bucket:
-                            entry = table.get(key)
-                            if entry is None:
-                                entry = tuple([] for _ in range(arity))
-                                table[key] = entry
-                            entry[index].append(value)
-                    return timer
-
-                return task
-
-            timers = self.ctx.runner.run_stage(
-                [
-                    make_merge_task(split, bucket)
-                    for split, bucket in enumerate(buckets)
-                ]
-            )
-            for split, timer in enumerate(timers):
-                merge_seconds[split] += timer.own_seconds
-        self.ctx.metrics.record_stage(self.num_partitions, merge_seconds)
-        return [list(table.items()) for table in grouped]
-
-    def _run_cogroup_spill(self) -> Any:
-        """Out-of-core cogroup: one split's table resident at a time.
-
-        The in-memory path keeps every split's grouped table alive while
-        parents are merged in sequence; under a memory cap that *is* the
-        working set, so the merge is restructured per split — read each
-        parent's bucket for the split (restoring from the spill tier as
-        needed), build that split's table, adopt it under the budget,
-        free it, move on.  Parent buckets and merge results keep their
-        exact in-memory ordering, so the output records and every
-        stage/task counter are byte-identical to the in-memory path:
-        per-parent drain/shuffle stages land first in the same order,
-        and the single merge stage still records ``num_partitions``
-        tasks with per-split times.
-        """
-        arity = len(self._parents)
-        blocks = self.ctx.block_manager
-        # Parent bucket handles, in parent order, before any merge runs
-        # (the same stage-recording order as the in-memory path, which
-        # also finishes every parent's shuffle before the merge stage is
-        # recorded).
-        parent_buckets = [
+        # Every parent's buckets first, in parent order, then one merge
+        # stage: the stage-recording order of the task graph too.
+        parents = [
             self._parent_buckets(parent, index)
             for index, parent in enumerate(self._parents)
         ]
-        # The merge stage reads the parent buckets split by split; start
-        # restoring their spilled partitions now so early merge tasks
-        # find them resident (prefetch fills free headroom only).
-        for handle in parent_buckets:
-            handle_owner = getattr(handle, "owner", None)
-            if handle_owner is not None:
-                blocks.prefetch_namespace(handle_owner)
-        owner = f"out/{self.id}"
-        output = blocks.managed_output(owner, self.num_partitions)
-
-        def make_merge_task(split: int) -> Callable[[], float]:
-            def task() -> float:
-                with self.ctx.metrics.task_timer() as timer:
-                    table: dict[Any, tuple[list, ...]] = {}
-                    for index in range(arity):
-                        self.ctx.runner.fault_point(f"merge:{self.id}", split)
-                        for key, value in parent_buckets[index][split]:
-                            entry = table.get(key)
-                            if entry is None:
-                                entry = tuple([] for _ in range(arity))
-                                table[key] = entry
-                            entry[index].append(value)
-                blocks.put_managed(owner, split, list(table.items()))
-                return timer.own_seconds
-
-            return task
-
+        sources = [buckets for buckets, _disposable in parents]
+        for buckets in sources:
+            buckets.prefetch()
+        output = self._new_output(self.num_partitions)
         merge_seconds = self.ctx.runner.run_stage(
-            [make_merge_task(split) for split in range(self.num_partitions)]
+            [
+                (lambda split=split: self._merge_split(sources, output, split))
+                for split in range(self.num_partitions)
+            ]
         )
         self.ctx.metrics.record_stage(self.num_partitions, list(merge_seconds))
-        for index in range(arity):
-            blocks.drop_managed(f"scratch/{self.id}.{index}")
-        # Downstream tasks read the output from split 0 up next; warm
-        # the early (spilled-first) partitions ahead of them.
-        blocks.prefetch_namespace(owner)
+        for buckets, disposable in parents:
+            if disposable:
+                buckets.release()
+        output.prefetch()
         return output
 
     def _discard_lost_output(self, output: Any) -> None:
         """Forget a materialized cogroup whose spilled partition was lost."""
         with self._materialize_lock:
             if self._output is output:
-                owner = getattr(output, "owner", None)
-                if owner is not None:
-                    self.ctx.block_manager.drop_managed(owner)
+                output.release()
                 self._output = None
                 self._parent_stats = []
 

@@ -661,16 +661,15 @@ class DAGScheduler:
 
         self._prefetch_spilled_inputs(rdd)
         task_seconds: list[float] = [0.0] * rdd.num_partitions
-        graph, result_tasks, wide_nodes = compile_job_graph(
+        graph, result_tasks, release = compile_job_graph(
             rdd, func, task_seconds, self._metrics, self._runner, self._adaptive
         )
         try:
             self._runner.run_graph(graph)
         finally:
-            # Promoted nodes already cleared their slots; on failure this
-            # drops partial per-partition state so a later (staged) run
-            # re-materializes from scratch.
-            for node in wide_nodes:
-                node._pipeline_cleanup()
+            # Promoted nodes are already materialized; on failure this
+            # drops partial outputs so a later run re-materializes from
+            # scratch, and lets jobs waiting on those nodes proceed.
+            release()
         self._metrics.record_stage(len(result_tasks), task_seconds)
         return [task.result for task in result_tasks]

@@ -23,29 +23,20 @@ pricing a homogeneous tile stream costs a memo lookup per record rather
 than a recursive walk, and the accounting is batched per map partition.
 
 Map tasks (drain + combine + bucket + account one map partition) and
-reduce tasks (merge one bucket) are independent, so both fan out on the
-engine's shared :class:`~repro.engine.scheduler.TaskRunner`.  Buckets
-are concatenated in map-partition order afterwards, which makes the
-output — and every recorded counter — identical to the serial drain.
-
-Two execution shapes share the same per-partition map work
-(:func:`_map_partition`):
-
-* :meth:`ShuffleManager.shuffle` — the staged path: one barrier after
-  the map phase, one after the reduce phase.
-* :class:`PipelinedShuffle` — per-partition-addressable state for the
-  task-graph scheduler: map slots land individually (each slot's
-  buckets, bytes, and timing are stored as they complete), partial
-  statistics are readable while the map phase is still running, and
-  ``finish_map_phase`` concatenates slots in deterministic slot order so
-  every byte counter matches the staged path exactly.
+reduce tasks (merge one bucket) are independent.  One :class:`Shuffle`
+object runs both for every shuffle the engine executes; the staged
+:meth:`ShuffleManager.shuffle` fans its tasks out on the engine's shared
+:class:`~repro.engine.scheduler.TaskRunner` behind two stage barriers,
+and the task-graph compiler (:mod:`repro.engine.taskgraph`) schedules
+the same tasks one by one.  Map buckets concatenate in ascending map
+slot order, so the output — and every recorded counter — is identical
+whichever way, and in whatever order, the tasks ran.
 """
 
 from __future__ import annotations
 
 import pickle
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -104,15 +95,23 @@ class MapOutputStatistics:
 
 
 class ShuffleResult(list):
-    """The reduce-side buckets of one shuffle, list-compatible.
+    """The in-memory partitions of one wide output, list-compatible.
 
-    Behaves exactly like the ``list[list[record]]`` the manager always
-    returned; the map-output histogram rides along as :attr:`stats` so
-    callers that want it (the adaptive layer) can read it without a
-    signature change anywhere else.
+    Behaves exactly like a ``list[list[record]]``; the map-output
+    histogram rides along as :attr:`stats` so callers that want it (the
+    adaptive layer) can read it without a signature change anywhere
+    else.  Shares its interface with
+    :class:`~repro.engine.block_manager.ManagedOutput`, the spill tier's
+    container.
     """
 
     stats: Optional[MapOutputStatistics] = None
+
+    def prefetch(self) -> None:
+        """Nothing to restore: every partition is resident."""
+
+    def release(self) -> None:
+        """Nothing held outside this list."""
 
 
 @dataclass
@@ -214,10 +213,9 @@ def _map_partition(
 ) -> tuple[list[list], list[int], int]:
     """The map-side work for one partition: drain, combine, bucket, price.
 
-    Shared verbatim by the staged and pipelined paths so their measured
-    bytes cannot diverge.  Pricing each bucket separately sums the same
-    memoized per-record sizes as a single ``batch_size(records)`` call —
-    the per-reducer histogram is free.
+    Pricing each bucket separately sums the same memoized per-record
+    sizes as a single ``batch_size(records)`` call — the per-reducer
+    histogram is free.
     """
     if aggregator is not None and aggregator.map_side_combine:
         records = _combine_map_side(partition_iter, aggregator)
@@ -231,31 +229,46 @@ def _map_partition(
     return local_buckets, bucket_bytes, len(records)
 
 
+def new_output(blocks: Any, owner: str, num_partitions: int) -> Any:
+    """An empty container for one wide node's output partitions.
+
+    The one place that decides where wide data lives: without a spill
+    tier, a plain list filled in place; with one, a
+    :class:`~repro.engine.block_manager.ManagedOutput` whose assignment
+    adopts each partition under the memory budget (spillable at once).
+    Both index like the list they stand for and carry ``stats``,
+    ``prefetch()`` and ``release()``.  A :class:`Shuffle` keeps its map
+    buckets in the same tier as its output.
+    """
+    if blocks is not None and blocks.spill_enabled:
+        return blocks.managed_output(owner, num_partitions)
+    return ShuffleResult([None] * num_partitions)
+
+
 class _BucketSpiller:
     """Map-output buckets written straight to the spill store.
 
-    In spill mode the map phase never accumulates its buckets in driver
-    memory: each map task prices its buckets (identical accounting to
-    the in-memory path), then serializes every non-empty bucket to the
-    object store.  The reduce/assembly side reads a reducer's buckets
-    back in ascending map-slot order — the same concatenation order as
-    the in-memory path, so reduce inputs are byte-identical — consuming
-    (deleting) each object as it goes.  Spilled and restored bytes use
-    the accountant's bucket sizes so the counters pair up exactly.
+    With a spill tier the map phase never accumulates its buckets in
+    memory: each map slot's non-empty buckets are serialized to the
+    object store as soon as the slot lands.  A reducer's bucket is read
+    back in ascending slot order — the in-memory concatenation order, so
+    reduce inputs are byte-identical — consuming each object.  Spilled
+    and restored bytes use the accountant's bucket sizes so the counters
+    pair up exactly.
     """
 
     def __init__(self, store: Any, metrics: MetricsRegistry, label: str):
         self._store = store
         self._metrics = metrics
         self._label = label
-        #: (slot, reducer) -> accounted bucket bytes.
-        self._written: dict[tuple[Any, int], int] = {}
+        #: reducer -> {slot: accounted bucket bytes}.
+        self._written: dict[int, dict[tuple, int]] = {}
         self._lock = threading.Lock()
 
-    def _key(self, slot: Any, reducer: int) -> str:
-        return f"shufmap/{self._label}/{slot}/{reducer}"
+    def _key(self, slot: tuple, reducer: int) -> str:
+        return f"shufmap/{self._label}/{slot[0]}.{slot[1]}/{reducer}"
 
-    def write(self, slot: Any, local_buckets: list[list],
+    def write(self, slot: tuple, local_buckets: list[list],
               bucket_bytes: list[int]) -> None:
         """Persist one map slot's non-empty buckets (idempotent)."""
         for reducer, bucket in enumerate(local_buckets):
@@ -264,36 +277,196 @@ class _BucketSpiller:
             data = pickle.dumps(bucket, protocol=pickle.HIGHEST_PROTOCOL)
             self._store.put(self._key(slot, reducer), data)
             with self._lock:
-                self._written[(slot, reducer)] = bucket_bytes[reducer]
+                self._written.setdefault(reducer, {})[slot] = bucket_bytes[reducer]
             self._metrics.record_spill(bucket_bytes[reducer])
 
     def read_bucket(self, reducer: int) -> list:
         """One reducer's concatenated bucket, consumed from the store.
 
-        Entries are only forgotten (and objects only deleted) after the
-        whole bucket assembled, so a task retried partway through a read
-        still finds every object.
+        Objects are only deleted after the whole bucket assembled, so a
+        task retried partway through a read still finds every object.
         """
         with self._lock:
-            keys = sorted(
-                (key for key in self._written if key[1] == reducer),
-                key=lambda key: key[0],
-            )
-            sizes = {key: self._written[key] for key in keys}
+            sizes = dict(self._written.get(reducer, {}))
+        slots = sorted(sizes)
         bucket: list = []
-        for key in keys:
-            store_key = self._key(key[0], reducer)
-            bucket.extend(pickle.loads(self._store.get(store_key)))
-        for key in keys:
-            with self._lock:
-                self._written.pop(key, None)
-            self._store.delete(self._key(key[0], reducer))
-            self._metrics.record_spill_restore(sizes[key])
+        for slot in slots:
+            bucket.extend(pickle.loads(self._store.get(self._key(slot, reducer))))
+        with self._lock:
+            self._written.pop(reducer, None)
+        for slot in slots:
+            self._store.delete(self._key(slot, reducer))
+            self._metrics.record_spill_restore(sizes[slot])
         return bucket
 
 
+class Shuffle:
+    """One shuffle: its map slots, buckets, statistics and reduce outputs.
+
+    The only code that runs map and reduce work; the staged
+    :meth:`ShuffleManager.shuffle` drives it behind two stage barriers
+    and the task-graph compiler drives it task by task.  Map *slots* —
+    ``(partition, chunk)`` keys, so a skew-split partition's chunks slot
+    in where the original partition would — land independently and in
+    any order via :meth:`run_map_slot`.  Once every slot has landed,
+    :meth:`finish_map_phase` records the map stage and shuffle volume
+    from the slots in ascending order, so counters and bucket contents
+    never depend on completion order.
+
+    Map buckets stay in memory without a spill tier and go through
+    :class:`_BucketSpiller` with one; output partitions land in
+    :attr:`output` (see :func:`new_output`).  Slot buckets are released
+    as soon as the reduce phase (or, without an aggregator, the output)
+    has consumed them.
+    """
+
+    def __init__(
+        self,
+        metrics: MetricsRegistry,
+        runner: TaskRunner,
+        partitioner: Partitioner,
+        aggregator: Optional[Aggregator],
+        label: str,
+        blocks: Any = None,
+    ):
+        self._metrics = metrics
+        self._runner = runner
+        self.partitioner = partitioner
+        self.aggregator = aggregator
+        self.num_reducers = partitioner.num_partitions
+        self._map_label = f"map:{label}"
+        self._reduce_label = f"reduce:{label}"
+        self._accountant = RecordSizeAccountant()
+        #: slot -> (buckets, bucket bytes, bucket record counts,
+        #: records, own-seconds); buckets are ``None`` once spilled,
+        #: counts ``None`` while they are in memory.
+        self._slots: dict[tuple, tuple] = {}
+        self._slots_lock = threading.Lock()
+        self._buckets: Optional[list[Optional[list]]] = None
+        self.stats: Optional[MapOutputStatistics] = None
+        self.output = new_output(blocks, f"out/{label}", self.num_reducers)
+        # Map buckets live in the tier the output lives in.
+        self._spiller = (
+            None if isinstance(self.output, ShuffleResult)
+            else _BucketSpiller(blocks.spill_store, metrics, label)
+        )
+
+    def run_map_slot(
+        self,
+        slot: tuple,
+        partition_iter: Iterator[tuple[Any, Any]],
+        partition: int,
+    ) -> None:
+        """Execute the map work of one slot.
+
+        Idempotent: a retried slot overwrites its own entry.  ``partition``
+        feeds the fault point, so an injection targeting partition *p*
+        hits every chunk of *p*.
+        """
+        with self._metrics.task_timer() as timer:
+            self._runner.fault_point(self._map_label, partition)
+            local_buckets, bucket_bytes, num_records = _map_partition(
+                partition_iter, self.partitioner, self.aggregator,
+                self._accountant, self.num_reducers,
+            )
+        counts = None
+        if self._spiller is not None:
+            # Spill I/O stays outside the timer so measured compute
+            # matches the in-memory path.
+            counts = [len(bucket) for bucket in local_buckets]
+            self._spiller.write(slot, local_buckets, bucket_bytes)
+            local_buckets = None
+        with self._slots_lock:
+            self._slots[slot] = (
+                local_buckets, bucket_bytes, counts, num_records,
+                timer.own_seconds,
+            )
+
+    def finish_map_phase(self) -> MapOutputStatistics:
+        """Record the map stage and shuffle volume; returns the histogram.
+
+        Without an aggregator the concatenated buckets *are* the output,
+        which is complete on return.
+        """
+        num_reducers = self.num_reducers
+        in_memory = self._spiller is None
+        buckets: list = [[] for _ in range(num_reducers)] if in_memory else []
+        partition_bytes = [0] * num_reducers
+        partition_records = [0] * num_reducers
+        task_seconds: list[float] = []
+        shuffled_records = 0
+        shuffled_bytes = 0
+        with self._slots_lock:
+            slots, self._slots = self._slots, {}
+        for slot in sorted(slots):
+            local_buckets, bucket_bytes, counts, num_records, seconds = slots[slot]
+            for reducer, count in enumerate(counts or map(len, local_buckets)):
+                if count:
+                    partition_bytes[reducer] += bucket_bytes[reducer]
+                    partition_records[reducer] += count
+                    if in_memory:
+                        buckets[reducer].extend(local_buckets[reducer])
+            shuffled_records += num_records
+            shuffled_bytes += sum(bucket_bytes)
+            task_seconds.append(seconds)
+        self.stats = self.output.stats = MapOutputStatistics(
+            tuple(partition_bytes), tuple(partition_records)
+        )
+        self._metrics.record_stage(len(task_seconds), task_seconds)
+        self._metrics.record_shuffle(shuffled_records, shuffled_bytes)
+        self._buckets = buckets
+        if self.aggregator is None:
+            for reducer in range(num_reducers):
+                self.output[reducer] = self._reduce_input(reducer)
+            self._finish()
+        return self.stats
+
+    def _reduce_input(self, reducer: int) -> list:
+        """One reducer's concatenated bucket, released once taken."""
+        if self._spiller is not None:
+            return self._spiller.read_bucket(reducer)
+        bucket, self._buckets[reducer] = self._buckets[reducer], None
+        return bucket
+
+    def reduce_groups(self, adaptive: Any) -> list[list[int]]:
+        """Reducer ids per reduce task: singletons unless the adaptive
+        layer coalesces contiguous small buckets (each bucket is still
+        merged separately and lands in its own output partition)."""
+        groups = None
+        if adaptive is not None:
+            groups = adaptive.plan_reduce_groups(self.stats)
+        if groups is None:
+            groups = [[reducer] for reducer in range(self.num_reducers)]
+        return groups
+
+    def run_reduce_group(self, bucket_ids: list[int]) -> float:
+        """Merge one reduce task's buckets into :attr:`output`; returns
+        the task's own-seconds."""
+        aggregator = self.aggregator
+        with self._metrics.task_timer() as timer:
+            self._runner.fault_point(self._reduce_label, bucket_ids[0])
+            merged_buckets = [
+                (bid, _merge_reduce_side(self._reduce_input(bid), aggregator))
+                for bid in bucket_ids
+            ]
+        for bid, merged in merged_buckets:
+            self.output[bid] = merged
+        return timer.own_seconds
+
+    def finish_reduce_phase(self, task_seconds: list[float]) -> None:
+        """Record the reduce stage; :attr:`output` is complete."""
+        self._metrics.record_stage(len(task_seconds), list(task_seconds))
+        self._finish()
+
+    def _finish(self) -> None:
+        self._buckets = None
+        # The next stage reads the output from split 0 up; restore the
+        # early (spilled-first) partitions ahead of its tasks.
+        self.output.prefetch()
+
+
 class ShuffleManager:
-    """Executes shuffles and records their measured volume."""
+    """Runs staged shuffles: a :class:`Shuffle` behind stage barriers."""
 
     def __init__(
         self,
@@ -306,13 +479,10 @@ class ShuffleManager:
         self._runner = runner or SerialTaskRunner()
         #: Optional :class:`~repro.engine.adaptive.AdaptiveManager`; when
         #: present and enabled it may regroup the reduce phase (partition
-        #: coalescing).  ``None`` (or disabled) reproduces the seed
-        #: behavior exactly.
+        #: coalescing).
         self._adaptive = adaptive
         #: Optional :class:`~repro.engine.block_manager.BlockManager`;
-        #: when its spill tier is active, shuffles run out-of-core (map
-        #: buckets stream through the spill store and reduce outputs are
-        #: adopted as budget-managed partitions).
+        #: with its spill tier active, shuffles run out-of-core.
         self._blocks = blocks
 
     def shuffle(
@@ -321,348 +491,38 @@ class ShuffleManager:
         partitioner: Partitioner,
         aggregator: Optional[Aggregator] = None,
         stage_label: Optional[str] = None,
-    ) -> list[list[tuple[Any, Any]]]:
-        """Run a full shuffle.
+    ) -> Any:
+        """Run a full shuffle: every map task, a barrier, every reduce task.
 
         Args:
-            map_outputs: one keyed-record iterator per map-side partition.
-                Each iterator is drained inside a timed "map task".
+            map_outputs: one keyed-record iterator per map task.
             partitioner: reduce-side placement of keys.
             aggregator: combining semantics; ``None`` means plain
                 re-partitioning (records pass through unmodified, possibly
                 with duplicate keys).
             stage_label: identity suffix for fault-injection points
-                (``map:<label>`` / ``reduce:<label>``); bare ``map`` /
-                ``reduce`` when omitted.
+                (``map:<label>`` / ``reduce:<label>``) and spill keys.
 
         Returns:
-            One list of ``(key, value)`` pairs per reduce partition.  With
-            an aggregator the value is the fully merged combiner.  With
-            the spill tier active, the partitions come back as a
-            budget-managed ``ManagedOutput`` handle (list-compatible).
+            One list of ``(key, value)`` pairs per reduce partition (with
+            an aggregator, the fully merged combiner per key), in the
+            container :func:`new_output` chose; ``.stats`` holds the
+            map-output histogram.
         """
-        if self._blocks is not None and self._blocks.spill_enabled:
-            return self._shuffle_spill(
-                map_outputs, partitioner, aggregator, stage_label
-            )
-        num_reducers = partitioner.num_partitions
-        map_label = f"map:{stage_label}" if stage_label else "map"
-        reduce_label = f"reduce:{stage_label}" if stage_label else "reduce"
-        # One accountant for the whole shuffle: map partitions of one
-        # shuffle share record shapes, so the signature memo hits across
-        # tasks (dict access is atomic under the GIL, and a racing
-        # double-insert writes the same value).
-        accountant = RecordSizeAccountant()
-
-        def make_map_task(index: int, partition_iter: Iterator[tuple[Any, Any]]):
-            def map_task():
-                with self._metrics.task_timer() as timer:
-                    self._runner.fault_point(map_label, index)
-                    local_buckets, bucket_bytes, num_records = _map_partition(
-                        partition_iter, partitioner, aggregator,
-                        accountant, num_reducers,
-                    )
-                return local_buckets, bucket_bytes, num_records, timer
-
-            return map_task
-
-        map_tasks = [
-            make_map_task(index, it) for index, it in enumerate(map_outputs)
-        ]
-        map_results = self._runner.run_stage(map_tasks)
-
-        buckets = ShuffleResult([] for _ in range(num_reducers))
-        partition_bytes = [0] * num_reducers
-        partition_records = [0] * num_reducers
-        map_task_seconds: list[float] = []
-        shuffled_records = 0
-        shuffled_bytes = 0
-        for local_buckets, bucket_bytes, num_records, timer in map_results:
-            for reducer, local in enumerate(local_buckets):
-                if local:
-                    buckets[reducer].extend(local)
-                    partition_bytes[reducer] += bucket_bytes[reducer]
-                    partition_records[reducer] += len(local)
-            shuffled_records += num_records
-            shuffled_bytes += sum(bucket_bytes)
-            map_task_seconds.append(timer.own_seconds)
-
-        stats = MapOutputStatistics(tuple(partition_bytes), tuple(partition_records))
-        buckets.stats = stats
-        self._metrics.record_stage(len(map_task_seconds), map_task_seconds)
-        self._metrics.record_shuffle(shuffled_records, shuffled_bytes)
-
-        if aggregator is None:
-            return buckets
-
-        # Reduce phase.  By default one task merges one bucket; the
-        # adaptive layer may coalesce contiguous small buckets into one
-        # task (logical partition count is unchanged — each bucket is
-        # still merged separately and lands back in its own slot).
-        groups: Optional[list[list[int]]] = None
-        if self._adaptive is not None:
-            groups = self._adaptive.plan_reduce_groups(stats)
-        if groups is None:
-            groups = [[reducer] for reducer in range(num_reducers)]
-
-        def make_reduce_task(bucket_ids: list[int]):
-            def reduce_task():
-                with self._metrics.task_timer() as timer:
-                    self._runner.fault_point(reduce_label, bucket_ids[0])
-                    merged_buckets = [
-                        (bid, self._merge_reduce_side(buckets[bid], aggregator))
-                        for bid in bucket_ids
-                    ]
-                return merged_buckets, timer
-
-            return reduce_task
-
-        reduce_results = self._runner.run_stage(
-            [make_reduce_task(group) for group in groups]
+        shuffle = Shuffle(
+            self._metrics, self._runner, partitioner, aggregator,
+            stage_label or "anon", self._blocks,
         )
-        merged = ShuffleResult([None] * num_reducers)
-        merged.stats = stats
-        reduce_task_seconds = []
-        for merged_buckets, timer in reduce_results:
-            for bid, merged_bucket in merged_buckets:
-                merged[bid] = merged_bucket
-            reduce_task_seconds.append(timer.own_seconds)
-        self._metrics.record_stage(len(groups), reduce_task_seconds)
-        return merged
-
-    def _shuffle_spill(
-        self,
-        map_outputs: Iterable[Iterator[tuple[Any, Any]]],
-        partitioner: Partitioner,
-        aggregator: Optional[Aggregator],
-        stage_label: Optional[str],
-    ):
-        """The out-of-core twin of :meth:`shuffle`.
-
-        Identical stage/task/shuffle accounting and byte-identical
-        output contents, but no phase ever holds the full data set in
-        memory: map buckets stream through the spill store
-        (:class:`_BucketSpiller`) and every output partition is adopted
-        into the block manager — admitted, counted against the budget,
-        and spilled back out if it doesn't fit — as soon as it is
-        produced.  Resident footprint is roughly the memory budget plus
-        one in-flight partition per runner worker.
-        """
-        num_reducers = partitioner.num_partitions
-        map_label = f"map:{stage_label}" if stage_label else "map"
-        reduce_label = f"reduce:{stage_label}" if stage_label else "reduce"
-        accountant = RecordSizeAccountant()
-        blocks = self._blocks
-        label = stage_label if stage_label else "anon"
-        owner = f"out/{label}"
-        spiller = _BucketSpiller(blocks.spill_store, self._metrics, label)
-
-        def make_map_task(index: int, partition_iter: Iterator[tuple[Any, Any]]):
-            def map_task():
-                with self._metrics.task_timer() as timer:
-                    self._runner.fault_point(map_label, index)
-                    local_buckets, bucket_bytes, num_records = _map_partition(
-                        partition_iter, partitioner, aggregator,
-                        accountant, num_reducers,
-                    )
-                # Spill I/O stays outside the timer so measured compute
-                # matches the in-memory path.
-                bucket_counts = [len(bucket) for bucket in local_buckets]
-                spiller.write(index, local_buckets, bucket_bytes)
-                return bucket_bytes, bucket_counts, num_records, timer
-
-            return map_task
-
-        map_tasks = [
-            make_map_task(index, it) for index, it in enumerate(map_outputs)
-        ]
-        map_results = self._runner.run_stage(map_tasks)
-
-        partition_bytes = [0] * num_reducers
-        partition_records = [0] * num_reducers
-        map_task_seconds: list[float] = []
-        shuffled_records = 0
-        shuffled_bytes = 0
-        for bucket_bytes, bucket_counts, num_records, timer in map_results:
-            for reducer, count in enumerate(bucket_counts):
-                if count:
-                    partition_bytes[reducer] += bucket_bytes[reducer]
-                    partition_records[reducer] += count
-            shuffled_records += num_records
-            shuffled_bytes += sum(bucket_bytes)
-            map_task_seconds.append(timer.own_seconds)
-
-        stats = MapOutputStatistics(tuple(partition_bytes), tuple(partition_records))
-        self._metrics.record_stage(len(map_task_seconds), map_task_seconds)
-        self._metrics.record_shuffle(shuffled_records, shuffled_bytes)
-
-        output = blocks.managed_output(owner, num_reducers, stats=stats)
-
-        if aggregator is None:
-            # Plain repartition: assemble one reducer at a time and hand
-            # each straight to the block manager.
-            for reducer in range(num_reducers):
-                blocks.put_managed(owner, reducer, spiller.read_bucket(reducer))
-            # The next stage reads the output from split 0 up; restore
-            # the early (spilled-first) partitions ahead of its tasks.
-            blocks.prefetch_namespace(owner)
-            return output
-
-        groups: Optional[list[list[int]]] = None
-        if self._adaptive is not None:
-            groups = self._adaptive.plan_reduce_groups(stats)
-        if groups is None:
-            groups = [[reducer] for reducer in range(num_reducers)]
-
-        def make_reduce_task(bucket_ids: list[int]):
-            def reduce_task():
-                with self._metrics.task_timer() as timer:
-                    self._runner.fault_point(reduce_label, bucket_ids[0])
-                    merged_buckets = [
-                        (bid, _merge_reduce_side(
-                            spiller.read_bucket(bid), aggregator
-                        ))
-                        for bid in bucket_ids
-                    ]
-                for bid, merged_bucket in merged_buckets:
-                    blocks.put_managed(owner, bid, merged_bucket)
-                return timer
-
-            return reduce_task
-
-        reduce_results = self._runner.run_stage(
-            [make_reduce_task(group) for group in groups]
-        )
-        self._metrics.record_stage(
-            len(groups), [timer.own_seconds for timer in reduce_results]
-        )
-        # The next stage reads the output from split 0 up; restore the
-        # early (spilled-first) partitions ahead of its tasks.
-        blocks.prefetch_namespace(owner)
-        return output
-
-    _combine_map_side = staticmethod(_combine_map_side)
-    _merge_reduce_side = staticmethod(_merge_reduce_side)
-
-
-class PipelinedShuffle:
-    """Per-partition-addressable state of one in-flight shuffle.
-
-    The task-graph compiler creates one per wide node whose data really
-    crosses the shuffle machinery.  Map *slots* — ``(partition, chunk)``
-    keys, so a skew-split partition's chunks slot in where the original
-    partition would — land independently via :meth:`run_map_slot`;
-    :meth:`partial_statistics` exposes the accumulating histogram while
-    the map phase is still in flight; once every slot has landed,
-    :meth:`finish_map_phase` concatenates buckets in ascending slot
-    order and records the map stage and shuffle volume — producing the
-    byte-identical counters and bucket contents of the staged
-    :meth:`ShuffleManager.shuffle`, whatever order the slots actually
-    completed in.
-    """
-
-    def __init__(
-        self,
-        metrics: MetricsRegistry,
-        runner: TaskRunner,
-        partitioner: Partitioner,
-        aggregator: Optional[Aggregator],
-        stage_label: Optional[str] = None,
-    ):
-        self._metrics = metrics
-        self._runner = runner
-        self.partitioner = partitioner
-        self.aggregator = aggregator
-        self.num_reducers = partitioner.num_partitions
-        self._map_label = f"map:{stage_label}" if stage_label else "map"
-        self._reduce_label = f"reduce:{stage_label}" if stage_label else "reduce"
-        self._accountant = RecordSizeAccountant()
-        #: slot key -> (local_buckets, bucket_bytes, num_records, seconds)
-        self._slots: dict[tuple, tuple] = {}
-        self._slots_lock = threading.Lock()
-        self._buckets: Optional[ShuffleResult] = None
-        self.stats: Optional[MapOutputStatistics] = None
-
-    def run_map_slot(
-        self,
-        slot: tuple,
-        partition_iter: Iterator[tuple[Any, Any]],
-        partition: int,
-    ) -> float:
-        """Execute the map work of one slot; returns its own-seconds.
-
-        Idempotent: a retried slot overwrites its own entry.  ``slot``
-        is ``(partition, chunk)``; ``partition`` feeds the fault point
-        so an injection targeting partition *p* hits every chunk of *p*.
-        """
-        with self._metrics.task_timer() as timer:
-            self._runner.fault_point(self._map_label, partition)
-            result = _map_partition(
-                partition_iter, self.partitioner, self.aggregator,
-                self._accountant, self.num_reducers,
-            )
-        with self._slots_lock:
-            self._slots[slot] = (*result, timer.own_seconds)
-        return timer.own_seconds
-
-    def partial_statistics(self) -> MapOutputStatistics:
-        """Histogram over the map slots that have landed so far.
-
-        The adaptive layer may read this while the map phase is still
-        running — per-partition-set decisions no longer have to wait for
-        the full stage boundary.
-        """
-        with self._slots_lock:
-            landed = list(self._slots.values())
-        partition_bytes = [0] * self.num_reducers
-        partition_records = [0] * self.num_reducers
-        for local_buckets, bucket_bytes, _num_records, _seconds in landed:
-            for reducer, local in enumerate(local_buckets):
-                if local:
-                    partition_bytes[reducer] += bucket_bytes[reducer]
-                    partition_records[reducer] += len(local)
-        return MapOutputStatistics(
-            tuple(partition_bytes), tuple(partition_records)
-        )
-
-    def finish_map_phase(self) -> tuple[ShuffleResult, MapOutputStatistics]:
-        """Concatenate all landed slots; record map stage + shuffle volume."""
-        buckets = ShuffleResult([] for _ in range(self.num_reducers))
-        partition_bytes = [0] * self.num_reducers
-        partition_records = [0] * self.num_reducers
-        task_seconds: list[float] = []
-        shuffled_records = 0
-        shuffled_bytes = 0
-        with self._slots_lock:
-            ordered = [self._slots[key] for key in sorted(self._slots)]
-        for local_buckets, bucket_bytes, num_records, seconds in ordered:
-            for reducer, local in enumerate(local_buckets):
-                if local:
-                    buckets[reducer].extend(local)
-                    partition_bytes[reducer] += bucket_bytes[reducer]
-                    partition_records[reducer] += len(local)
-            shuffled_records += num_records
-            shuffled_bytes += sum(bucket_bytes)
-            task_seconds.append(seconds)
-        stats = MapOutputStatistics(
-            tuple(partition_bytes), tuple(partition_records)
-        )
-        buckets.stats = stats
-        self.stats = stats
-        self._buckets = buckets
-        self._metrics.record_stage(len(task_seconds), task_seconds)
-        self._metrics.record_shuffle(shuffled_records, shuffled_bytes)
-        return buckets, stats
-
-    def run_reduce_group(
-        self, bucket_ids: list[int]
-    ) -> tuple[list[tuple[int, list]], float]:
-        """Merge one reduce task's buckets; returns pairs + own-seconds."""
-        aggregator = self.aggregator
-        with self._metrics.task_timer() as timer:
-            self._runner.fault_point(self._reduce_label, bucket_ids[0])
-            merged_buckets = [
-                (bid, _merge_reduce_side(self._buckets[bid], aggregator))
-                for bid in bucket_ids
-            ]
-        return merged_buckets, timer.own_seconds
+        self._runner.run_stage([
+            (lambda index=index, it=it:
+                shuffle.run_map_slot((index, 0), it, index))
+            for index, it in enumerate(map_outputs)
+        ])
+        shuffle.finish_map_phase()
+        if aggregator is not None:
+            groups = shuffle.reduce_groups(self._adaptive)
+            shuffle.finish_reduce_phase(self._runner.run_stage([
+                (lambda group=group: shuffle.run_reduce_group(group))
+                for group in groups
+            ]))
+        return shuffle.output

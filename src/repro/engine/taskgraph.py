@@ -21,12 +21,12 @@ external lock and may *extend* the graph — this is how adaptive
 decisions (reduce coalescing, skew splitting) are taken mid-flight from
 measured map statistics instead of behind a global barrier.
 
-Metric parity: every stage/task/shuffle counter a staged run records is
-recorded here too, with identical totals — map buckets concatenate in
-deterministic slot order (see ``PipelinedShuffle``), reduce groups come
-from the same adaptive planner, and per-parent cogroup merges are
-chained per split so key insertion order is byte-identical.  Only the
-*recording order* of stages may differ.
+Metric parity: the graph's tasks run the same shuffle, combine, drain
+and merge code as the staged path (``Shuffle``, ``ShuffledRDD`` and
+``CoGroupedRDD``), so every stage/task/shuffle counter a staged run
+records is recorded here too, with identical totals — map buckets
+concatenate in deterministic slot order and reduce groups come from the
+same adaptive planner.  Only the *recording order* of stages may differ.
 
 The graph itself is **externally synchronized**: the runner serializes
 all calls to :meth:`TaskGraph.complete` / :meth:`TaskGraph.add_task`
@@ -36,9 +36,14 @@ one), so the graph keeps no lock of its own.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+import threading
+from typing import Any, Callable, Optional
 
-from .shuffle import PipelinedShuffle, ShuffleResult
+from .rdd import (
+    CartesianRDD, CoalescedRDD, CoGroupedRDD, MapPartitionsRDD,
+    ParallelCollectionRDD, ShuffledRDD, UnionRDD, ZippedRDD,
+)
+from .shuffle import Shuffle, new_output
 
 
 class Task:
@@ -212,12 +217,12 @@ class _WideBuild:
     """Compilation record of one in-flight wide node.
 
     ``out_tasks[split]`` is the task whose completion guarantees the
-    node's output partition ``split`` is readable through its pipeline
-    slots; ``stats_task`` completes once the node's map-output
-    statistics are final; ``stats()`` reads them (``None`` when the node
-    never crossed the shuffle machinery).  ``has_stats`` is False when
-    the accessor is known at compile time to return ``None``, so
-    downstream skew planning need not wait on ``stats_task``.
+    node's output partition ``split`` is readable; ``stats_task``
+    completes once the node's map-output statistics are final;
+    ``stats()`` reads them (``None`` when the node never crossed the
+    shuffle machinery).  ``has_stats`` is False when the accessor is
+    known at compile time to return ``None``, so downstream skew
+    planning need not wait on ``stats_task``.
     """
 
     def __init__(
@@ -233,18 +238,49 @@ class _WideBuild:
         self.has_stats = has_stats
 
 
+_WIDE = (ShuffledRDD, CoGroupedRDD)
+
+#: Guards every wide node's ``_pipeline_job`` claim; notified whenever
+#: a job promotes or gives up the nodes it claimed.
+_claims = threading.Condition()
+
+
 def compile_job_graph(
     rdd, func, task_seconds, metrics, runner, adaptive
-) -> tuple[TaskGraph, list[Task], list]:
+) -> tuple[TaskGraph, list[Task], Callable[[], None]]:
     """Compile one job into a task graph.
 
-    Returns ``(graph, result_tasks, wide_nodes)``: the graph, the
+    Returns ``(graph, result_tasks, release)``: the graph, the
     ``("result", split)`` tasks in partition order (their ``result``
-    fields hold the job's answers after execution), and the wide nodes
-    whose pipeline slots must be cleaned up if execution fails.
+    fields hold the job's answers after execution), and a callable that
+    gives up the job's claims on wide nodes it did not promote — call it
+    once execution ends, successfully or not.
+
+    A wide node that another job's graph is producing is never built
+    again: compilation waits until that job promotes the node (it is
+    then a materialized leaf) or gives it up.  A job claims all the
+    nodes it builds at once, under one lock, and never waits while
+    holding claims, so jobs whose lineages share nodes in any order
+    cannot deadlock.
     """
-    compiler = _JobCompiler(metrics, runner, adaptive)
-    return compiler.compile(rdd, func, task_seconds)
+    with _claims:
+        while True:
+            compiler = _JobCompiler(metrics, runner, adaptive)
+            owners = compiler.foreign_claims(rdd)
+            if not owners:
+                break
+            if any(owner.thread == compiler.thread for owner in owners):
+                raise RuntimeError(
+                    "a nested pipelined job needs a wide node that its "
+                    "enclosing job on this thread is still producing"
+                )
+            _claims.wait()
+        try:
+            compiler.compile(rdd, func, task_seconds)
+        except BaseException:
+            compiler.release()
+            raise
+    return compiler.graph, compiler.result_tasks, compiler.release
 
 
 class _JobCompiler:
@@ -252,14 +288,19 @@ class _JobCompiler:
         self._metrics = metrics
         self._runner = runner
         self._adaptive = adaptive
+        self.thread = threading.get_ident()
         self.graph = TaskGraph()
+        self.result_tasks: list[Task] = []
         #: id(wide node) -> _WideBuild for nodes built by this job.
         self.builds: dict[int, _WideBuild] = {}
         self.wide_nodes: list = []
+        #: id(node) -> whether every partition replays from the block
+        #: manager; asked once per node per compile.
+        self._cached_leaves: dict[int, bool] = {}
 
-    def compile(self, rdd, func, task_seconds):
+    def compile(self, rdd, func, task_seconds) -> None:
         self._collect(rdd, set())
-        result_tasks = [
+        self.result_tasks = [
             self.graph.add_task(
                 ("result", split),
                 fn=self._make_result_fn(rdd, func, split, task_seconds),
@@ -267,7 +308,6 @@ class _JobCompiler:
             )
             for split in range(rdd.num_partitions)
         ]
-        return self.graph, result_tasks, self.wide_nodes
 
     def _make_result_fn(self, rdd, func, split, task_seconds):
         def fn():
@@ -279,30 +319,82 @@ class _JobCompiler:
 
         return fn
 
+    # -- claims ---------------------------------------------------------
+
+    def foreign_claims(self, rdd) -> set:
+        """Jobs holding claims on wide nodes this job would build."""
+        owners: set = set()
+        seen: set[int] = set()
+        stack = [rdd]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or self._is_leaf(node):
+                continue
+            seen.add(id(node))
+            owner = getattr(node, "_pipeline_job", None)
+            if owner is not None:
+                owners.add(owner)
+                continue
+            stack.extend(node.dependencies)
+        return owners
+
+    def _install(self, node, output) -> None:
+        """Claim ``node``; its partitions land in ``output`` (lock held)."""
+        node._pipeline_job = self
+        node._pipeline_output = output
+        self.wide_nodes.append(node)
+
+    def _promote(self, node) -> None:
+        """Every partition of ``node`` landed: it is materialized."""
+        with _claims:
+            node._output = node._pipeline_output
+            node._pipeline_output = None
+            node._pipeline_job = None
+            _claims.notify_all()
+
+    def release(self) -> None:
+        """Give up the claims (and partial outputs) of nodes this job
+        did not promote."""
+        with _claims:
+            for node in self.wide_nodes:
+                if node._pipeline_job is self:
+                    node._pipeline_output.release()
+                    node._pipeline_output = None
+                    node._pipeline_job = None
+            _claims.notify_all()
+
     # -- lineage walk ---------------------------------------------------
+
+    def _cached_leaf(self, node) -> bool:
+        if not node._cached:
+            return False
+        leaf = self._cached_leaves.get(id(node))
+        if leaf is None:
+            leaf = node.ctx.block_manager.contains_all(
+                node.id, node.num_partitions
+            )
+            self._cached_leaves[id(node)] = leaf
+        return leaf
+
+    def _is_leaf(self, node) -> bool:
+        """Whether ``node`` is readable without running its lineage."""
+        if isinstance(node, _WIDE) and node._output is not None:
+            return True
+        return self._cached_leaf(node)
 
     def _collect(self, node, seen: set[int]) -> None:
         """Postorder walk mirroring ``prepare_execution``'s stopping rules."""
-        from .rdd import CoGroupedRDD, ShuffledRDD
-
         if id(node) in seen:
             return
         seen.add(id(node))
-        wide = isinstance(node, (ShuffledRDD, CoGroupedRDD))
-        if wide and node._output is not None:
-            return
-        if node._cached and node.ctx.block_manager.contains_all(
-            node.id, node.num_partitions
-        ):
+        if self._is_leaf(node):
             return
         for dep in node.dependencies:
             self._collect(dep, seen)
-        if wide:
+        if isinstance(node, _WIDE):
             self._build_wide(node)
 
     def _build_wide(self, node) -> None:
-        from .rdd import CoGroupedRDD
-
         if isinstance(node, CoGroupedRDD):
             self._build_cogroup(node)
             return
@@ -326,17 +418,15 @@ class _JobCompiler:
     def _build_local_combine(self, node) -> None:
         """Co-partitioned ShuffledRDD: one combine task per partition."""
         graph = self.graph
-        node._pipeline_install()
-        self.wide_nodes.append(node)
         count = node._parent.num_partitions
+        output = node._new_output(count)
+        self._install(node, output)
         seconds = [0.0] * count
         combine_tasks = []
         for split in range(count):
 
             def fn(split=split):
-                combined, own = node._combine_partition(split)
-                node._pipeline_fill(split, combined)
-                seconds[split] = own
+                seconds[split] = node._combine_into(output, split)
 
             combine_tasks.append(
                 graph.add_task(
@@ -348,7 +438,7 @@ class _JobCompiler:
 
         def finalize():
             self._metrics.record_stage(count, list(seconds))
-            node._pipeline_promote(node._pipeline_slots)
+            self._promote(node)
 
         done = graph.add_task(
             ("combined", node.id), deps=combine_tasks, on_complete=finalize
@@ -360,16 +450,15 @@ class _JobCompiler:
     def _build_shuffle(self, node, opt_in: bool) -> None:
         """ShuffledRDD whose data really crosses the shuffle machinery."""
         graph = self.graph
-        metrics = self._metrics
         adaptive = self._adaptive
         parent = node._parent
-        node._pipeline_install()
-        self.wide_nodes.append(node)
+        blocks = node.ctx.block_manager
         num_reducers = node.num_partitions
-        shuffle = PipelinedShuffle(
-            metrics, self._runner, node.partitioner, node._aggregator,
-            stage_label=str(node.id),
+        shuffle = Shuffle(
+            self._metrics, self._runner, node.partitioner, node._aggregator,
+            str(node.id), blocks,
         )
+        self._install(node, shuffle.output)
         # Virtual output slots: released when the partition's data lands
         # (directly after the map phase without an aggregator, from the
         # owning reduce task with one).
@@ -401,38 +490,28 @@ class _JobCompiler:
                 for c, chunk in enumerate(chunks)
             ]
 
+        def promote():
+            node._map_stats = shuffle.stats
+            self._promote(node)
+            blocks.register_shuffle(
+                parent.id, node.partitioner, node._aggregator, node._output,
+                opt_in=opt_in,
+            )
+
         def maps_done_hook():
-            buckets, stats = shuffle.finish_map_phase()
-            blocks = node.ctx.block_manager
+            shuffle.finish_map_phase()
             if node._aggregator is None:
-                for r in range(num_reducers):
-                    node._pipeline_fill(r, buckets[r])
-                node._map_stats = stats
-                node._pipeline_promote(buckets)
-                # Register the promoted handle (identical to ``buckets``
-                # without a spill tier; a managed, spillable output with
-                # one) so registry reuse survives eviction.
-                blocks.register_shuffle(
-                    parent.id, node.partitioner, None, node._output,
-                    opt_in=opt_in,
-                )
+                promote()
                 for r in range(num_reducers):
                     graph.release(out_tasks[r])
                 return
-            groups = None
-            if adaptive is not None:
-                groups = adaptive.plan_reduce_groups(stats)
-            if groups is None:
-                groups = [[r] for r in range(num_reducers)]
+            groups = shuffle.reduce_groups(adaptive)
             reduce_seconds = [0.0] * len(groups)
             reduce_tasks = []
             for gindex, group in enumerate(groups):
 
                 def fn(gindex=gindex, group=group):
-                    merged_buckets, own = shuffle.run_reduce_group(group)
-                    for bid, merged in merged_buckets:
-                        node._pipeline_fill(bid, merged)
-                    reduce_seconds[gindex] = own
+                    reduce_seconds[gindex] = shuffle.run_reduce_group(group)
 
                 def release_group(group=group):
                     for bid in group:
@@ -448,15 +527,8 @@ class _JobCompiler:
                 )
 
             def reduces_done_hook():
-                metrics.record_stage(len(groups), list(reduce_seconds))
-                merged = ShuffleResult(node._pipeline_slots)
-                merged.stats = stats
-                node._map_stats = stats
-                node._pipeline_promote(merged)
-                blocks.register_shuffle(
-                    parent.id, node.partitioner, node._aggregator,
-                    node._output, opt_in=opt_in,
-                )
+                shuffle.finish_reduce_phase(reduce_seconds)
+                promote()
 
             graph.add_task(
                 ("reduces-done", node.id),
@@ -521,9 +593,9 @@ class _JobCompiler:
             # map statistics land; chunk each hot partition as soon as
             # that specific partition lands.
             def source_partition(pid):
-                slots = source_node._pipeline_slots
-                if slots is not None:
-                    return slots[pid]
+                output = source_node._pipeline_output
+                if output is not None:
+                    return output[pid]
                 return source_node._materialize()[pid]
 
             def plan_hook():
@@ -578,46 +650,44 @@ class _JobCompiler:
         )
 
     def _build_cogroup(self, node) -> None:
-        """CoGroupedRDD: per-parent bucket tasks + chained per-split merges.
+        """CoGroupedRDD: per-parent drain or map tasks, one merge per split.
 
-        Merges for split ``p`` are chained across parents (parent ``i``'s
-        merge depends on parent ``i-1``'s) so each key's value lists keep
-        parent order and the grouped tables match the staged run exactly;
-        different splits still pipeline independently.
+        The merge of split ``p`` waits only for the tasks that produce
+        split ``p`` of every parent's buckets, so different splits (and
+        the parents' shuffles) still pipeline independently.
         """
         graph = self.graph
         metrics = self._metrics
-        runner = self._runner
         parents = node._parents
-        arity = len(parents)
         num_parts = node.num_partitions
-        node._pipeline_install()
-        self.wide_nodes.append(node)
-        node._parent_stats = [None] * arity
         blocks = node.ctx.block_manager
+        output = node._new_output(num_parts)
+        self._install(node, output)
+        node._parent_stats = [None] * len(parents)
 
-        grouped: list[dict] = [{} for _ in range(num_parts)]
-        merge_seconds = [0.0] * num_parts
+        sources: list = []
+        disposable: list = []
+        split_deps: list[list[Task]] = [[] for _ in range(num_parts)]
         stats_deps: list[Task] = []
         any_local = False
-        prev_merges: Optional[list[Task]] = None
 
         for index, parent in enumerate(parents):
             if parent.partitioner == node.partitioner:
                 any_local = True
-                records_store: list = [None] * parent.num_partitions
-                drain_seconds = [0.0] * parent.num_partitions
+                scratch = new_output(
+                    blocks, f"scratch/{node.id}.{index}", num_parts
+                )
+                drain_seconds = [0.0] * num_parts
                 drain_tasks = []
-                for p in range(parent.num_partitions):
+                for p in range(num_parts):
 
                     def fn(
-                        p=p, index=index, parent=parent,
-                        records_store=records_store,
+                        p=p, index=index, parent=parent, scratch=scratch,
                         drain_seconds=drain_seconds,
                     ):
-                        records, own = node._drain_partition(parent, index, p)
-                        records_store[p] = records
-                        drain_seconds[p] = own
+                        drain_seconds[p] = node._drain_into(
+                            scratch, parent, index, p
+                        )
 
                     drain_tasks.append(
                         graph.add_task(
@@ -626,11 +696,10 @@ class _JobCompiler:
                             deps=self.narrow_deps(parent, p),
                         )
                     )
+                    split_deps[p].append(drain_tasks[p])
 
-                def drained_hook(
-                    count=parent.num_partitions, drain_seconds=drain_seconds
-                ):
-                    metrics.record_stage(count, list(drain_seconds))
+                def drained_hook(drain_seconds=drain_seconds):
+                    metrics.record_stage(num_parts, list(drain_seconds))
 
                 stats_deps.append(
                     graph.add_task(
@@ -639,107 +708,82 @@ class _JobCompiler:
                         on_complete=drained_hook,
                     )
                 )
-                bucket_tasks: Optional[list[Task]] = drain_tasks
+                sources.append(scratch)
+                disposable.append(scratch)
+                continue
 
-                def bucket_of(p, records_store=records_store):
-                    return records_store[p]
+            opt_in = node._reuse_opt_in or parent._reuse_opt_in
+            reused = blocks.lookup_shuffle(
+                parent.id, node.partitioner, None, opt_in=opt_in
+            )
+            if reused is not None:
+                node._parent_stats[index] = getattr(reused, "stats", None)
+                sources.append(reused)
+                continue
 
-            else:
-                opt_in = node._reuse_opt_in or parent._reuse_opt_in
-                reused = blocks.lookup_shuffle(
-                    parent.id, node.partitioner, None, opt_in=opt_in
-                )
-                if reused is not None:
-                    node._parent_stats[index] = getattr(reused, "stats", None)
-                    bucket_tasks = None
+            pshuffle = Shuffle(
+                metrics, self._runner, node.partitioner, None,
+                f"{node.id}.{index}", blocks,
+            )
+            map_tasks = []
+            for m in range(parent.num_partitions):
 
-                    def bucket_of(p, reused=reused):
-                        return reused[p]
+                def fn(m=m, pshuffle=pshuffle, parent=parent):
+                    pshuffle.run_map_slot((m, 0), parent.iterator(m), m)
 
-                else:
-                    pshuffle = PipelinedShuffle(
-                        metrics, runner, node.partitioner, None,
-                        stage_label=f"{node.id}.{index}",
-                    )
-                    map_tasks = []
-                    for m in range(parent.num_partitions):
-
-                        def fn(m=m, pshuffle=pshuffle, parent=parent):
-                            pshuffle.run_map_slot((m, 0), parent.iterator(m), m)
-
-                        map_tasks.append(
-                            graph.add_task(
-                                ("map", node.id, index, m),
-                                fn=fn,
-                                deps=self.narrow_deps(parent, m),
-                            )
-                        )
-                    buckets_store: dict = {}
-
-                    def shuffled_hook(
-                        pshuffle=pshuffle, index=index, parent=parent,
-                        opt_in=opt_in, buckets_store=buckets_store,
-                    ):
-                        buckets, stats = pshuffle.finish_map_phase()
-                        buckets_store["buckets"] = buckets
-                        node._parent_stats[index] = stats
-                        blocks.register_shuffle(
-                            parent.id, node.partitioner, None, buckets,
-                            opt_in=opt_in,
-                        )
-
-                    maps_done = graph.add_task(
-                        ("maps-done", node.id, index),
-                        deps=map_tasks,
-                        on_complete=shuffled_hook,
-                    )
-                    stats_deps.append(maps_done)
-                    # A reduce bucket concatenates every map slot, so one
-                    # barrier task guards all of this parent's buckets.
-                    bucket_tasks = [maps_done] * num_parts
-
-                    def bucket_of(p, buckets_store=buckets_store):
-                        return buckets_store["buckets"][p]
-
-            merges = []
-            for p in range(num_parts):
-                deps: list[Task] = []
-                if bucket_tasks is not None:
-                    deps.append(bucket_tasks[p])
-                if prev_merges is not None:
-                    deps.append(prev_merges[p])
-                last = index == arity - 1
-
-                def fn(p=p, index=index, bucket_of=bucket_of, last=last):
-                    with metrics.task_timer() as timer:
-                        runner.fault_point(f"merge:{node.id}", p)
-                        table = grouped[p]
-                        for key, value in bucket_of(p):
-                            entry = table.get(key)
-                            if entry is None:
-                                entry = tuple([] for _ in range(arity))
-                                table[key] = entry
-                            entry[index].append(value)
-                    merge_seconds[p] += timer.own_seconds
-                    if last:
-                        node._pipeline_fill(p, list(table.items()))
-
-                merges.append(
+                map_tasks.append(
                     graph.add_task(
-                        ("merge", node.id, index, p), fn=fn, deps=deps
+                        ("map", node.id, index, m),
+                        fn=fn,
+                        deps=self.narrow_deps(parent, m),
                     )
                 )
-            prev_merges = merges
 
-        last_merges = prev_merges
+            def shuffled_hook(
+                pshuffle=pshuffle, index=index, parent=parent, opt_in=opt_in
+            ):
+                node._parent_stats[index] = pshuffle.finish_map_phase()
+                if not blocks.register_shuffle(
+                    parent.id, node.partitioner, None, pshuffle.output,
+                    opt_in=opt_in,
+                ):
+                    disposable.append(pshuffle.output)
+
+            # A reduce bucket concatenates every map slot, so one
+            # barrier task guards all of this parent's buckets.
+            maps_done = graph.add_task(
+                ("maps-done", node.id, index),
+                deps=map_tasks,
+                on_complete=shuffled_hook,
+            )
+            stats_deps.append(maps_done)
+            sources.append(pshuffle.output)
+            for deps in split_deps:
+                deps.append(maps_done)
+
+        merge_seconds = [0.0] * num_parts
+        merges = []
+        for p in range(num_parts):
+
+            def fn(p=p):
+                merge_seconds[p] = node._merge_split(sources, output, p)
+
+            merges.append(
+                graph.add_task(("merge", node.id, p), fn=fn, deps=split_deps[p])
+            )
 
         def merges_done_hook():
             metrics.record_stage(num_parts, list(merge_seconds))
-            node._pipeline_promote(node._pipeline_slots)
+            for buckets in disposable:
+                buckets.release()
+            # The graph outlives its tasks (reference cycles); drop the
+            # merged buckets now rather than at the next full collection.
+            sources.clear()
+            self._promote(node)
 
         graph.add_task(
             ("merges-done", node.id),
-            deps=last_merges,
+            deps=merges,
             on_complete=merges_done_hook,
         )
         stats_task = graph.add_task(("stats", node.id), deps=stats_deps)
@@ -755,7 +799,7 @@ class _JobCompiler:
             return combined
 
         self.builds[id(node)] = _WideBuild(
-            last_merges, stats_task, stats_accessor, has_stats=not any_local
+            merges, stats_task, stats_accessor, has_stats=not any_local
         )
 
     # -- narrow dependency resolution -----------------------------------
@@ -764,23 +808,14 @@ class _JobCompiler:
         """Tasks that must land before partition ``split`` of ``node``
         can be computed, following the same per-partition wiring the
         narrow ``compute`` methods use."""
-        from .rdd import (
-            CartesianRDD, CoalescedRDD, CoGroupedRDD, MapPartitionsRDD,
-            ParallelCollectionRDD, ShuffledRDD, UnionRDD, ZippedRDD,
-        )
-
         if acc is None:
             acc = []
         build = self.builds.get(id(node))
         if build is not None:
             acc.append(build.out_tasks[split])
             return acc
-        if isinstance(node, (ShuffledRDD, CoGroupedRDD)):
+        if isinstance(node, _WIDE) or self._cached_leaf(node):
             return acc  # materialized, reused, or cached: a leaf
-        if node._cached and node.ctx.block_manager.contains_all(
-            node.id, node.num_partitions
-        ):
-            return acc
         if isinstance(node, MapPartitionsRDD):
             return self.narrow_deps(node._parent, split, acc)
         if isinstance(node, UnionRDD):

@@ -146,9 +146,15 @@ def test_cli_metrics_json(data_file, capsys):
         assert hist["p50_seconds"] <= hist["p95_seconds"] <= hist["max_seconds"]
 
 
-def test_cli_pipeline_flag_matches_staged(data_file, tmp_path, capsys):
+def test_cli_pipeline_flag_matches_staged(
+    data_file, tmp_path, capsys, monkeypatch
+):
     import json
 
+    # The staged arm must not pick up a pipelined default from the
+    # environment.
+    monkeypatch.delenv("REPRO_RUNNER", raising=False)
+    monkeypatch.delenv("REPRO_PIPELINE", raising=False)
     query = "tiled_vector(n)[ (i, +/m) | ((i,j),m) <- A, group by i ]"
     args = [
         query,

@@ -403,6 +403,53 @@ def test_staged_run_after_failed_pipelined_job_recovers():
     assert sorted(rdd.collect()) == [(0, 16), (1, 16), (2, 16), (3, 16)]
 
 
+def test_concurrent_jobs_wait_for_shared_in_flight_nodes():
+    """Two jobs reach the same in-flight shuffles in opposite orders:
+    neither rebuilds a node the other is producing (each shuffle runs
+    once, as when the jobs run one after the other), and neither
+    deadlocks."""
+
+    def jobs(ctx):
+        left = ctx.parallelize([(i % 8, i) for i in range(64)], 4)
+        right = ctx.parallelize([(i % 8, -i) for i in range(64)], 4)
+        left = left.reduce_by_key(lambda a, b: a + b)
+        right = right.reduce_by_key(lambda a, b: a + b)
+        return {"one": left.join(right), "two": right.join(left)}
+
+    ctx = EngineContext(
+        cluster=TINY_CLUSTER, runner=SerialTaskRunner(), pipeline=True
+    )
+    expected = {name: sorted(rdd.collect()) for name, rdd in jobs(ctx).items()}
+    expected_shuffles = ctx.metrics.total.shuffles
+    ctx.close()
+
+    for _run in range(3):
+        ctx = EngineContext(
+            cluster=TINY_CLUSTER, runner=PipelinedTaskRunner(max_workers=2),
+            pipeline=True,
+        )
+        # Slow map tasks keep the first job in flight while the second
+        # compiles.
+        ctx.runner.inject_delay("map", None, 0.01)
+        results: dict = {}
+
+        def run(name, rdd):
+            results[name] = sorted(rdd.collect())
+
+        threads = [
+            threading.Thread(target=run, args=item)
+            for item in jobs(ctx).items()
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads), "deadlock"
+        assert results == expected
+        assert ctx.metrics.total.shuffles == expected_shuffles
+        ctx.close()
+
+
 # ----------------------------------------------------------------------
 # Threaded runner error propagation (regression)
 # ----------------------------------------------------------------------

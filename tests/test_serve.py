@@ -156,6 +156,34 @@ def test_replay_serial_matches_concurrent(service):
     serial_service.close()
 
 
+def test_pipelined_concurrent_replay_matches_serial():
+    """Concurrent tenants on a pipelined service compile the same shared
+    wide nodes; a job waits for a node another job is producing instead
+    of refilling it, so every run matches a serial replay."""
+    serial_service = QueryService(cluster=TINY_CLUSTER, tile_size=8)
+    try:
+        serial = replay(
+            serial_service.submit,
+            demo_workload(serial_service, num_tenants=3, size=16),
+            rounds=2, concurrent=False,
+        )
+    finally:
+        serial_service.close()
+    for _run in range(4):
+        service = QueryService(
+            cluster=TINY_CLUSTER, tile_size=8, runner="pipelined"
+        )
+        try:
+            report = replay(
+                service.submit, demo_workload(service, num_tenants=3, size=16),
+                rounds=2,
+            )
+        finally:
+            service.close()
+        assert not report.errors, report.errors
+        assert report.digests == serial.digests
+
+
 def test_replay_shared_substrate_shows_cache_wins():
     # Default (paper) cluster: its cost model picks the shuffle-bearing
     # plans whose retained outputs later tenants reuse.

@@ -17,6 +17,10 @@ the *parent's* high-water mark and the bounds here would be vacuous
   partial-product tiles;
 * ``uncapped`` — the same job with everything resident.
 
+The capped and uncapped modes run once with the context's default
+scheduling and once as a task graph on the serial runner
+(``pipeline=True``), so the bound holds for both schedulers.
+
 The capped run must stay within the cap plus a fixed slack over base
 (transient per-task tiles, pickle buffers, allocator overhead), while
 the uncapped run must exceed a floor that proves the working set is
@@ -60,10 +64,14 @@ def partials(ik):
     return out
 
 
-mode = sys.argv[1]
+mode, scheduler = sys.argv[1], sys.argv[2]
 if mode != "base":
     limit = {cap} if mode == "capped" else None
-    ctx = EngineContext(cluster=TINY_CLUSTER, memory_limit=limit)
+    options = (
+        dict(runner="serial", pipeline=True) if scheduler == "pipelined"
+        else {{}}
+    )
+    ctx = EngineContext(cluster=TINY_CLUSTER, memory_limit=limit, **options)
     keys = [(i, k) for i in range(G) for k in range(G)]
     product = (
         ctx.parallelize(keys, G * G)
@@ -81,13 +89,13 @@ with open("/proc/self/status") as status:
 """.format(g=G, ts=TS, cap=CAP_BYTES)
 
 
-def _run_mode(mode: str) -> dict:
+def _run_mode(mode: str, scheduler: str = "default") -> dict:
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src)
     env.pop("REPRO_MEMORY_LIMIT", None)
     proc = subprocess.run(
-        [sys.executable, "-c", WORKER, mode],
+        [sys.executable, "-c", WORKER, mode, scheduler],
         capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0, proc.stderr
@@ -99,11 +107,10 @@ def _run_mode(mode: str) -> dict:
     return report
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status VmHWM")
-def test_capped_run_bounds_peak_rss():
+def _assert_capped_run_bounded(scheduler: str) -> None:
     base = _run_mode("base")["maxrss_kb"]
-    capped = _run_mode("capped")
-    uncapped = _run_mode("uncapped")
+    capped = _run_mode("capped", scheduler)
+    uncapped = _run_mode("uncapped", scheduler)
 
     # Same engine, same job: the cap may not change the answer.
     assert capped["checksum"] == uncapped["checksum"]
@@ -120,3 +127,15 @@ def test_capped_run_bounds_peak_rss():
         f"capped run used {over_capped:.0f} KB over base, "
         f"exceeding the {CAPPED_SLACK_KB} KB budget+slack bound"
     )
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status VmHWM")
+def test_capped_run_bounds_peak_rss():
+    _assert_capped_run_bounded("default")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status VmHWM")
+def test_capped_pipelined_run_bounds_peak_rss():
+    """The task-graph scheduler holds the same bound: its map buckets and
+    outputs live where the staged path's do."""
+    _assert_capped_run_bounded("pipelined")
